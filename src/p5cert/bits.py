@@ -34,10 +34,6 @@ class Bits:
             raise ValueError("not a 0/1 string")
         return Bits(int(s, 2) if s else 0, len(s))
 
-    @staticmethod
-    def from_int(value: int, width: int) -> "Bits":
-        return Bits(value, width)
-
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 

@@ -50,17 +50,11 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> (v - 1)) & 1 == 1
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")
-
-    def closed_mask(self, v: int) -> int:
-        return self.adj[v] | (1 << (v - 1))
 
     @property
     def full_mask(self) -> int:

@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
 )
 from .framework import CertificateAssignment, Scheme, local_view, max_cert_bits
-from .graphs import Graph, build_graph, component_masks, find_induced_path, is_connected
+from .graphs import Graph, build_graph, component_masks, find_induced_path, is_connected, iter_bits
 from .p5free import prove, scheme as p5_scheme
 from .treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
 
@@ -292,18 +292,18 @@ def _random_false_partition(n: int, rng: random.Random) -> TreePartition:
     return TreePartition(n, tree, tuple(bags))
 
 
-def count_rejections(g: Graph, scheme: Scheme, certs: CertificateAssignment, stop_above: Optional[int] = None) -> int:
-    count = 0
-    for v in g.vertices():
-        if not scheme.verifier(local_view(g, certs, v)).accept:
-            count += 1
-            if stop_above is not None and count > stop_above:
-                return count
-    return count
-
-
 def has_rejection(g: Graph, scheme: Scheme, certs: CertificateAssignment) -> bool:
-    return count_rejections(g, scheme, certs, stop_above=0) > 0
+    """Whether some vertex rejects; stops at the first one that does."""
+    return any(not scheme.verifier(local_view(g, certs, v)).accept for v in g.vertices())
+
+
+def rejecting_mask(g: Graph, scheme: Scheme, certs: CertificateAssignment, within: int) -> int:
+    """Mask of the vertices in ``within`` whose verifier rejects."""
+    mask = 0
+    for v in iter_bits(within):
+        if not scheme.verifier(local_view(g, certs, v)).accept:
+            mask |= 1 << (v - 1)
+    return mask
 
 
 def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[CertificateAssignment]:
@@ -368,16 +368,18 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
             cur = dict(base)
             v = rng.randint(1, n)
             cur[v] = cur[v].flip(rng.randrange(cur[v].length))
-            cur_count = count_rejections(g, sch, cur)
+            cur_rej = rejecting_mask(g, sch, cur, g.full_mask)
             for _ in range(_GREEDY_STEPS):
-                if cur_count == 0:
+                if not cur_rej:
                     break
                 cand = dict(cur)
                 v = rng.randint(1, n)
                 cand[v] = cand[v].flip(rng.randrange(cand[v].length))
-                cand_count = count_rejections(g, sch, cand, stop_above=cur_count)
-                if cand_count <= cur_count:
-                    cur, cur_count = cand, cand_count
+                # a flip at v changes only the views of v and its neighbors
+                closed = g.adj[v] | 1 << (v - 1)
+                cand_rej = cur_rej & ~closed | rejecting_mask(g, sch, cand, closed)
+                if cand_rej.bit_count() <= cur_rej.bit_count():
+                    cur, cur_rej = cand, cand_rej
             yield cur
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .bits import Bits
 from .codec import (
@@ -49,10 +49,9 @@ def bag_is_small(bag: Bag, n: int) -> bool:
 class Contradiction(P5CertError):
     """Two knowledge sources disagree about one vertex pair."""
 
-    def __init__(self, pair: tuple[int, int], sources: tuple[str, str]):
+    def __init__(self, pair: tuple[int, int]):
         self.pair = pair
-        self.sources = sources
-        super().__init__(f"pair {pair} claimed edge and non-edge by {sources[0]} and {sources[1]}")
+        super().__init__(f"pair {pair} claimed both edge and non-edge")
 
 
 # --- prover ---------------------------------------------------------------
@@ -63,10 +62,7 @@ def prove(g: Graph) -> CertificateAssignment:
     require_connected(g)
     tp = build_tree_partition(g)
     part_bits = encode_partitioning(tp, g.n)
-    node_of: dict[int, int] = {}
-    for i, bag in enumerate(tp.bags):
-        for v in bag.members:
-            node_of[v] = i
+    node_of = tp.node_of()
     certs: CertificateAssignment = {}
     for v in g.vertices():
         bag = tp.bags[node_of[v]]
@@ -140,10 +136,6 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         return None
     tree = tp.tree
     t = tree.node_count
-    node_of = [0] * (n + 1)
-    for i, bag in enumerate(tp.bags):
-        for v in bag.members:
-            node_of[v] = i
     members_mask = tuple(bag.mask for bag in tp.bags)
     subtree = tp.subtree_masks()
 
@@ -193,7 +185,7 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
 
     return PartitionIndex(
         tp=tp,
-        node_of=tuple(node_of),
+        node_of=tp.node_of(),
         members_mask=members_mask,
         subtree_mask=subtree,
         strict_ancestors=tuple(strict_anc),
@@ -236,6 +228,21 @@ _INTRA = "intra-bag"
 _CROSS = "cross-branch"
 
 
+def _row_claims(
+    u: int, nbr_mask: int, dec_u: EncodedCertificate, dec_nbrs: list[tuple[int, EncodedCertificate]]
+) -> list[tuple[int, int, str]]:
+    """(owner, row, source) of every row visible at u, in fold order."""
+    claims = [(u, nbr_mask, _OWN)]
+    claims += [(w, d.neighbors_part, _NBR) for w, d in dec_nbrs]
+    claims += [(e.owner, e.row, _PIECES) for d in [dec_u] + [d for _, d in dec_nbrs] for e in d.pieces_part]
+    return claims
+
+
+def _clash(x: int, bad: int) -> NoReturn:
+    y = (bad & -bad).bit_length()
+    raise Contradiction((x, y) if x < y else (y, x))
+
+
 def _closure(
     u: int,
     n: int,
@@ -243,75 +250,66 @@ def _closure(
     dec_u: EncodedCertificate,
     dec_nbrs: list[tuple[int, EncodedCertificate]],
     pidx: PartitionIndex,
-    track_provenance: bool,
 ) -> KnowledgeMap:
     full = (1 << n) - 1
     edge = [0] * (n + 1)
     nonedge = [0] * (n + 1)
-    prov: Optional[dict[tuple[int, int], str]] = {} if track_provenance else None
-
-    def record_row(owner: int, row: int, tag: str) -> None:
-        if prov is not None:
-            for x in range(1, n + 1):
-                if x != owner:
-                    pair = (owner, x) if owner < x else (x, owner)
-                    prov.setdefault(pair, tag)
-        new_ne = full & ~row & ~(1 << (owner - 1))
-        if nonedge[owner] & row or edge[owner] & new_ne:
-            bad = (nonedge[owner] & row) | (edge[owner] & new_ne)
-            other = (bad & -bad).bit_length()
-            pair = (owner, other) if owner < other else (other, owner)
-            earlier = prov.get(pair, "earlier source") if prov is not None else "earlier source"
-            raise Contradiction(pair, (earlier, tag))
-        edge[owner] |= row
-        nonedge[owner] |= new_ne
-
-    def record_pair_masks(masks: list[int], into: list[int], against: list[int], tag: str) -> None:
-        for x in range(1, n + 1):
-            m = masks[x]
-            if not m:
-                continue
-            if prov is not None:
-                for y in iter_bits(m):
-                    pair = (x, y) if x < y else (y, x)
-                    prov.setdefault(pair, tag)
-            conflict = against[x] & m
-            if conflict:
-                y = (conflict & -conflict).bit_length()
-                pair = (x, y) if x < y else (y, x)
-                earlier = prov.get(pair, "earlier source") if prov is not None else "earlier source"
-                raise Contradiction(pair, (earlier, tag))
-            into[x] |= m
 
     # (a) own adjacency, (b) neighbor rows, (c) pieces rows
-    record_row(u, nbr_mask, _OWN)
-    for w, d in dec_nbrs:
-        record_row(w, d.neighbors_part, _NBR)
-    for entry in dec_u.pieces_part:
-        record_row(entry.owner, entry.row, _PIECES)
-    for _, d in dec_nbrs:
-        for entry in d.pieces_part:
-            record_row(entry.owner, entry.row, _PIECES)
+    for x, row, _ in _row_claims(u, nbr_mask, dec_u, dec_nbrs):
+        new_ne = full & ~row & ~(1 << (x - 1))
+        bad = nonedge[x] & row | edge[x] & new_ne
+        if bad:
+            _clash(x, bad)
+        edge[x] |= row
+        nonedge[x] |= new_ne
 
     # (d) bag-implied pairs, (e) cross-branch non-edges
-    record_pair_masks(list(pidx.intra_edge), edge, nonedge, _INTRA)
-    record_pair_masks(list(pidx.intra_nonedge), nonedge, edge, _INTRA)
-    record_pair_masks(list(pidx.cross_nonedge), nonedge, edge, _CROSS)
+    for masks, into, against in (
+        (pidx.intra_edge, edge, nonedge),
+        (pidx.intra_nonedge, nonedge, edge),
+        (pidx.cross_nonedge, nonedge, edge),
+    ):
+        for x in range(1, n + 1):
+            bad = against[x] & masks[x]
+            if bad:
+                _clash(x, bad)
+            into[x] |= masks[x]
 
     # symmetrize; opposite-direction claims from two row owners clash here
     for x in range(1, n + 1):
+        bit = 1 << (x - 1)
         for y in iter_bits(edge[x]):
-            if (nonedge[y] >> (x - 1)) & 1:
-                pair = (x, y) if x < y else (y, x)
-                raise Contradiction(pair, ("row of one endpoint", "row of the other"))
-            edge[y] |= 1 << (x - 1)
+            if nonedge[y] & bit:
+                _clash(x, 1 << (y - 1))
+            edge[y] |= bit
         for y in iter_bits(nonedge[x]):
-            if (edge[y] >> (x - 1)) & 1:
-                pair = (x, y) if x < y else (y, x)
-                raise Contradiction(pair, ("row of one endpoint", "row of the other"))
-            nonedge[y] |= 1 << (x - 1)
+            if edge[y] & bit:
+                _clash(x, 1 << (y - 1))
+            nonedge[y] |= bit
 
-    return KnowledgeMap(n, tuple(edge), tuple(nonedge), prov)
+    return KnowledgeMap(n, tuple(edge), tuple(nonedge))
+
+
+def _provenance(km: KnowledgeMap, claims: list[tuple[int, int, str]], pidx: PartitionIndex) -> dict[tuple[int, int], str]:
+    """Source of every known pair: the first claim ``_closure`` folds for it.
+
+    A pair touching a row owner comes from the earliest row claim of either
+    endpoint; any other known pair was implied by the partition alone.
+    """
+    first: dict[int, int] = {}  # row owner -> index of its first claim
+    for i, (owner, _, _) in enumerate(claims):
+        first.setdefault(owner, i)
+    none = len(claims)
+    prov = {}
+    for x in range(1, km.n + 1):
+        intra = pidx.intra_edge[x] | pidx.intra_nonedge[x]
+        for y in iter_bits((km.edge[x] | km.nonedge[x]) >> x << x):
+            if x in first or y in first:
+                prov[(x, y)] = claims[min(first.get(x, none), first.get(y, none))][2]
+            else:
+                prov[(x, y)] = _INTRA if (intra >> (y - 1)) & 1 else _CROSS
+    return prov
 
 
 def knowledge_closure(view: LocalView, track_provenance: bool = True) -> KnowledgeMap:
@@ -320,15 +318,21 @@ def knowledge_closure(view: LocalView, track_provenance: bool = True) -> Knowled
     Merges, in order: own adjacency, each neighbor's claimed row, every row
     in the visible pieces bundles, bag-implied pairs, and other-branch
     non-edges from the shared partition.  Raises ``Contradiction`` when two
-    sources disagree; honest certificates never trigger it.
+    sources disagree; honest certificates never trigger it.  With
+    ``track_provenance`` the map also names the source of each known pair.
     """
     n = view.n
+    u, nbr_mask = view.self_id, view.neighbor_ids_mask()
     dec_u = decode_certificate(view.self_cert, n)
     dec_nbrs = [(w, decode_certificate(bw, n)) for w, bw in view.neighbors]
     pidx = _partition_index(dec_u.partitioning_part, n)
     if pidx is None:
         raise MalformedPartitioning("partitioning block undecodable")
-    return _closure(view.self_id, n, view.neighbor_ids_mask(), dec_u, dec_nbrs, pidx, track_provenance)
+    km = _closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx)
+    if not track_provenance:
+        return km
+    prov = _provenance(km, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
+    return KnowledgeMap(n, km.edge, km.nonedge, prov)
 
 
 # --- induced 5-path detection over known pairs ------------------------------
@@ -439,7 +443,7 @@ def verify(view: LocalView) -> Verdict:
 
     # (v) assemble knowledge, look for a fully-known induced 5-path
     try:
-        km = _closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx, track_provenance=False)
+        km = _closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx)
     except Contradiction as exc:
         return Verdict(False, "v", f"contradictory knowledge about pair {exc.pair}")
     witness = _find_p5_known(km.edge, km.nonedge, n)

@@ -1,8 +1,12 @@
 """Tree partitions: rooted trees of bags that are dominating cliques or induced P3s.
 
-Every connected P5-free graph admits such a partition; the builder here also
-succeeds on some graphs that are not P5-free (the 5-path itself is one), so
-its success must never be used as a P5-freeness test.
+Every connected P5-free graph admits such a partition, because every
+connected P5-free graph has a dominating clique or a dominating induced P3
+(Bacsó and Tuza, "Dominating cliques in P5-free graphs", Period. Math.
+Hungar. 21, 1990), and each component left after removing it is again
+connected and P5-free.  The builder here also succeeds on some graphs that
+are not P5-free (the 5-path itself is one), so its success must never be
+used as a P5-freeness test.
 """
 
 from __future__ import annotations
@@ -116,11 +120,13 @@ class TreePartition:
         if seen != (1 << self.n) - 1:
             raise ValueError("bags do not cover 1..n")
 
-    def bag_node_of(self, v: int) -> int:
+    def node_of(self) -> tuple[int, ...]:
+        """Tree node of each vertex (index 0 unused)."""
+        node = [0] * (self.n + 1)
         for i, bag in enumerate(self.bags):
-            if v in bag.members:
-                return i
-        raise KeyError(v)
+            for v in bag.members:
+                node[v] = i
+        return tuple(node)
 
     def subtree_masks(self) -> tuple[int, ...]:
         """Vertex mask of each node's subtree (node and all descendants)."""
@@ -340,10 +346,7 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
             )
 
     # diagnostic: every edge must connect ancestor-related bags
-    node_of = {}
-    for i, bag in enumerate(tp.bags):
-        for v in bag.members:
-            node_of[v] = i
+    node_of = tp.node_of()
     ancestors: list[set[int]] = [set() for _ in range(tp.tree.node_count)]
     for node in order:
         p = tp.tree.parent[node]

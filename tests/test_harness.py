@@ -1,15 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
 import p5cert as pc
 from p5cert.errors import GenerationBudgetExceeded, PreconditionNotP5, TooLarge
+from p5cert.codec import write_certificates
+from p5cert.framework import format_run_report
 from p5cert.harness import (
     STRATEGIES,
-    count_rejections,
     format_fuzz_report,
     format_scaling_csv,
     has_rejection,
+    honest_best_effort,
+    rejecting_mask,
     repair_to_p5_free,
 )
 from p5cert.p5free import scheme
@@ -148,12 +152,55 @@ def test_fuzz_report_failure_format(p5_graph):
     assert "SOUNDNESS-FUZZ: FAIL counterexample=cx.certs" in text
 
 
-def test_count_rejections_early_stop(p5_graph):
+def test_rejecting_mask_and_has_rejection(p5_graph):
     certs = pc.prove(p5_graph)
-    full = count_rejections(p5_graph, SCHEME, certs)
-    assert full == 5  # honest pipeline on the 5-path: everyone sees the path
-    assert count_rejections(p5_graph, SCHEME, certs, stop_above=1) == 2
+    # honest pipeline on the 5-path: everyone sees the path
+    assert rejecting_mask(p5_graph, SCHEME, certs, p5_graph.full_mask) == 0b11111
+    assert rejecting_mask(p5_graph, SCHEME, certs, 0b10010) == 0b10010
+    assert rejecting_mask(p5_graph, SCHEME, certs, 0) == 0
     assert has_rejection(p5_graph, SCHEME, certs)
+    g = pc.generate(pc.GeneratorSpec("split", 10, 0.5, 2))
+    certs = pc.prove(g)
+    assert rejecting_mask(g, SCHEME, certs, g.full_mask) == 0
+    assert not has_rejection(g, SCHEME, certs)
+
+
+def test_flip_changes_rejections_only_in_closed_neighborhood():
+    # greedy-search re-verifies only N[v] after a flip at v
+    g = pc.generate(pc.GeneratorSpec("with-p5", 16, 0.3, 1))
+    certs = honest_best_effort(g, random.Random(0))
+    before = rejecting_mask(g, SCHEME, certs, g.full_mask)
+    rng = random.Random(5)
+    for v in g.vertices():
+        cand = dict(certs)
+        cand[v] = cand[v].flip(rng.randrange(cand[v].length))
+        closed = g.adj[v] | 1 << (v - 1)
+        local = before & ~closed | rejecting_mask(g, SCHEME, cand, closed)
+        assert local == rejecting_mask(g, SCHEME, cand, g.full_mask)
+
+
+def _golden_fuzz_graphs():
+    """Every 25th connected 6-vertex graph with an induced P5, plus two n=24 ones."""
+    graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)][::25]
+    return graphs + [pc.generate(pc.GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2)]
+
+
+def test_golden_digest_adversarial_verdicts():
+    # every verdict and witness of 6,000 adversarial trials, pinned
+    h = hashlib.sha256()
+    for i, g in enumerate(_golden_fuzz_graphs()):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
+                h.update(format_run_report(pc.run(g, SCHEME, certs), g.n).encode())
+    assert h.hexdigest() == "762d261ec399d71f653e40fa2d49f71327acafd906b3d0f6b9608bc9a7ef5283"
+
+
+def test_golden_digest_greedy_trials():
+    h = hashlib.sha256()
+    for i, g in enumerate(_golden_fuzz_graphs()):
+        for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy("greedy-search", 4, i)):
+            h.update(write_certificates(certs).encode())
+    assert h.hexdigest() == "cca1291bae504f4da53aa1a661151fef0e5f3237ab81281fd654dcc91922c922"
 
 
 def test_measure_scaling_rows_and_determinism():
@@ -171,8 +218,6 @@ def test_measure_scaling_n1_golden():
 
 
 def test_honest_best_effort_on_non_p5_free(p5_graph):
-    from p5cert.harness import honest_best_effort
-
     certs = honest_best_effort(p5_graph, random.Random(0))
     assert set(certs) == set(range(1, 6))
     seven_path = pc.build_graph(7, [(i, i + 1) for i in range(1, 7)])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, ThresholdViolation
-from p5cert.framework import Verdict, local_view
+from p5cert.framework import Verdict, format_run_report, local_view
 from p5cert.p5free import Contradiction, bag_is_small, ceil_sqrt, scheme
 from helpers import random_graph
 
@@ -234,6 +235,24 @@ def test_injected_foreign_pieces_row_cannot_fool_anyone():
     assert verdicts[2].step == "v" and "contradictory" in verdicts[2].witness
     # vertices that never see the forged bundle still accept
     assert verdicts[14].accept and verdicts[7].accept
+
+
+def test_golden_digest_provenance(corpus_graphs):
+    # source tags of every known pair at 272 honest views, pinned
+    h = hashlib.sha256()
+    for _, g in corpus_graphs[::3]:
+        certs = pc.prove(g)
+        for v in g.vertices():
+            km = pc.knowledge_closure(local_view(g, certs, v))
+            h.update(repr(sorted(km.provenance.items())).encode())
+    assert h.hexdigest() == "ce640691932cda77ed3695a30464f1c21b1bdca06acf513d3f198ad7ffade448"
+
+
+def test_golden_digest_honest_verdicts(corpus_graphs):
+    h = hashlib.sha256()
+    for _, g in corpus_graphs:
+        h.update(format_run_report(pc.run(g, SCHEME), g.n).encode())
+    assert h.hexdigest() == "f32ce424c2dacd464e85dbcdb39f11ca965786cb5a599b47aaaae672666d058e"
 
 
 def test_knowledge_soundness_on_corpus_sample(corpus_graphs):
