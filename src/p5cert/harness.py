@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .bits import Bits
 from .codec import (
-    EncodedCertificate,
     decode_certificate,
     encode_certificate,
     encode_partitioning,
@@ -143,14 +141,13 @@ def _split_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
     return edges
 
 
-def _delete_middles_until_p5_free(n: int, edges: set[tuple[int, int]], rng: random.Random) -> Graph:
+def _delete_middles_until_p5_free(cur: Graph, rng: random.Random) -> Graph:
     """Delete a middle edge (position 2-3 or 3-4) of each found 5-path.
 
     Terminates because the edge count strictly decreases; the middle whose
     deletion keeps the graph connected is preferred, but the result may
     still be disconnected.
     """
-    cur = build_graph(n, edges)
     while True:
         path = find_induced_path(cur, 5)
         if path is None:
@@ -160,11 +157,18 @@ def _delete_middles_until_p5_free(n: int, edges: set[tuple[int, int]], rng: rand
         mids = [(min(e), max(e)) for e in mids]
         pick = mids[0]
         for e in mids:
-            if is_connected(build_graph(n, edges - {e})):
+            if is_connected(_without_edge(cur, e)):
                 pick = e
                 break
-        edges.discard(pick)
-        cur = build_graph(n, edges)
+        cur = _without_edge(cur, pick)
+
+
+def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    a, b = e
+    adj = list(g.adj)
+    adj[a] &= ~(1 << (b - 1))
+    adj[b] &= ~(1 << (a - 1))
+    return Graph(g.n, tuple(adj))
 
 
 def repair_to_p5_free(g: Graph, rng: random.Random, reconnect_rounds: int = 3) -> Graph:
@@ -179,15 +183,14 @@ def repair_to_p5_free(g: Graph, rng: random.Random, reconnect_rounds: int = 3) -
     is connected and P5-free by construction.
     """
     n = g.n
-    edges = set(g.edges())
-    cur = _delete_middles_until_p5_free(n, edges, rng)
+    cur = _delete_middles_until_p5_free(g, rng)
     for _ in range(reconnect_rounds):
         if is_connected(cur):
             return cur
-        edges = _connect_components(n, edges)
-        cur = _delete_middles_until_p5_free(n, edges, rng)
+        cur = _delete_middles_until_p5_free(build_graph(n, _connect_components(n, set(cur.edges()))), rng)
     if is_connected(cur):
         return cur
+    edges = set(cur.edges())
     edges.update((1, v) for v in range(2, n + 1) if not cur.has_edge(1, v))
     return build_graph(n, edges)
 
@@ -255,17 +258,6 @@ def honest_best_effort(g: Graph, rng: random.Random) -> CertificateAssignment:
         return prove(repair_to_p5_free(g, rng))
 
 
-def _reencode(cert_bits: Bits, n: int, *, partitioning=None, pieces=None) -> Bits:
-    dec = decode_certificate(cert_bits, n)
-    new = EncodedCertificate(
-        n,
-        dec.neighbors_part,
-        partitioning if partitioning is not None else dec.partitioning_part,
-        pieces if pieces is not None else dec.pieces_part,
-    )
-    return encode_certificate(new, n)
-
-
 def _random_false_partition(n: int, rng: random.Random) -> TreePartition:
     """Structurally well-formed partition with no relation to any graph."""
     ids = list(range(1, n + 1))
@@ -313,6 +305,9 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     base = honest_best_effort(g, rng)
     kind = strategy.kind
     sch = p5_scheme()
+    # per-stream work that no trial changes
+    path = find_induced_path(g, 5) if kind == "wrong-graph" else None
+    decoded = {v: decode_certificate(base[v], n) for v in g.vertices()} if kind == "lying-partition" else {}
 
     for _ in range(strategy.trials):
         if kind == "bitflip":
@@ -322,7 +317,6 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                 cur[v] = cur[v].flip(rng.randrange(cur[v].length))
             yield cur
         elif kind == "wrong-graph":
-            path = find_induced_path(g, 5)
             edges = set(g.edges())
             if path is None:
                 u = rng.randint(1, n)
@@ -345,7 +339,7 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
             yield honest_best_effort(modified, rng)
         elif kind == "lying-partition":
             false_bits = encode_partitioning(_random_false_partition(n, rng), n)
-            yield {v: _reencode(base[v], n, partitioning=false_bits) for v in g.vertices()}
+            yield {v: encode_certificate(replace(d, partitioning_part=false_bits), n) for v, d in decoded.items()}
         elif kind == "lying-pieces":
             cur = dict(base)
             for _ in range(rng.randint(1, 3)):
@@ -362,7 +356,7 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                         row ^= 1 << pos
                 pieces = list(dec.pieces_part)
                 pieces[idx] = type(entry)(entry.owner, row)
-                cur[v] = _reencode(cur[v], n, pieces=tuple(pieces))
+                cur[v] = encode_certificate(replace(dec, pieces_part=tuple(pieces)), n)
             yield cur
         else:  # greedy-search: hill-climb bit flips to minimize rejections
             cur = dict(base)

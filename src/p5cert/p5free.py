@@ -238,6 +238,44 @@ def _row_claims(
     return claims
 
 
+def _pack(rows: list[int], size: int) -> int:
+    """Rows of at most ``size`` bits as one int, row i at bit i * size."""
+    return int.from_bytes(b"".join(r.to_bytes(size // 8, "little") for r in rows), "little")
+
+
+@lru_cache(maxsize=None)  # one entry per power of two
+def _transpose_rounds(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap that transposes a size x size matrix.
+
+    The round for block size s swaps cell (i, j) with (i + s, j - s) wherever
+    bit s of i is clear and bit s of j is set; the mask marks those cells.
+    """
+    rounds = []
+    s = size // 2
+    while s:
+        cols = ((1 << size) - 1) // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+        rounds.append((s * (size - 1), _pack([0 if i & s else cols for i in range(size)], size)))
+        s //= 2
+    return tuple(rounds)
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """Bit-matrix transpose of the n-bit rows 1..n (index 0 is unused).
+
+    Bit y-1 of result[x] is bit x-1 of rows[y].  The rows are packed into
+    one int and swapped in log2(size) rounds of masked shifts (Warren,
+    *Hacker's Delight*, 2nd ed., section 7-3, "Transposing a Bit Matrix").
+    """
+    size = max(8, 1 << (n - 1).bit_length())
+    w = _pack(rows[1 : n + 1], size)
+    for shift, mask in _transpose_rounds(size):
+        t = (w ^ (w >> shift)) & mask
+        w ^= t ^ (t << shift)
+    step = size // 8
+    packed = w.to_bytes(n * step, "little")
+    return [0] + [int.from_bytes(packed[i : i + step], "little") for i in range(0, n * step, step)]
+
+
 def _clash(x: int, bad: int) -> NoReturn:
     y = (bad & -bad).bit_length()
     raise Contradiction((x, y) if x < y else (y, x))
@@ -276,19 +314,20 @@ def _closure(
                 _clash(x, bad)
             into[x] |= masks[x]
 
-    # symmetrize; opposite-direction claims from two row owners clash here
+    # symmetrize; opposite-direction claims from two row owners clash here,
+    # at the lowest vertex with one, its edge claims before its non-edge ones
+    edge_t = _transpose(edge, n)
+    nonedge_t = _transpose(nonedge, n)
     for x in range(1, n + 1):
-        bit = 1 << (x - 1)
-        for y in iter_bits(edge[x]):
-            if nonedge[y] & bit:
-                _clash(x, 1 << (y - 1))
-            edge[y] |= bit
-        for y in iter_bits(nonedge[x]):
-            if edge[y] & bit:
-                _clash(x, 1 << (y - 1))
-            nonedge[y] |= bit
+        bad = edge[x] & nonedge_t[x] or nonedge[x] & edge_t[x]
+        if bad:
+            _clash(x, bad)
 
-    return KnowledgeMap(n, tuple(edge), tuple(nonedge))
+    return KnowledgeMap(
+        n,
+        tuple(r | t for r, t in zip(edge, edge_t)),
+        tuple(r | t for r, t in zip(nonedge, nonedge_t)),
+    )
 
 
 def _provenance(km: KnowledgeMap, claims: list[tuple[int, int, str]], pidx: PartitionIndex) -> dict[tuple[int, int], str]:
@@ -338,8 +377,40 @@ def knowledge_closure(view: LocalView, track_provenance: bool = True) -> Knowled
 # --- induced 5-path detection over known pairs ------------------------------
 
 
+def _has_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> bool:
+    """Whether some induced 5-path a-b-c-d-e has all 10 pair statuses known.
+
+    Centre first: for each known induced P3 b-c-d, a must lie in
+    A = E[b] & NE[c] & NE[d], e in B = E[d] & NE[c] & NE[b], and a-e must be
+    a known non-edge.
+    """
+    for c in range(1, n + 1):
+        e_c, ne_c = edge[c], nonedge[c]
+        # b and d need a neighbor that is a known non-neighbor of c
+        ends = 0
+        for b in iter_bits(e_c):
+            if edge[b] & ne_c:
+                ends |= 1 << (b - 1)
+        for b in iter_bits(ends):
+            a_side = edge[b] & ne_c
+            ne_b = nonedge[b]
+            # d > b only: reversing a path keeps its centre and swaps b with
+            # d, so every path is met once in this orientation
+            for d in iter_bits(ends & ne_b >> b << b):
+                e_side = edge[d] & ne_c & ne_b
+                if e_side:
+                    for a in iter_bits(a_side & nonedge[d]):
+                        if nonedge[a] & e_side:
+                            return True
+    return False
+
+
 @lru_cache(maxsize=8192)
 def _find_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int):
+    if not _has_p5_known(edge, nonedge, n):
+        return None
+    # one exists: the a, b, c, d extension search returns the first in
+    # lexicographic order
     for a in range(1, n + 1):
         ne_a = nonedge[a]
         for b in iter_bits(edge[a]):
@@ -353,7 +424,10 @@ def _find_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int):
 
 
 def find_known_induced_p5(km: KnowledgeMap) -> Optional[tuple[int, int, int, int, int]]:
-    """First 5 vertices whose 10 pair statuses are known and form a path."""
+    """First 5 vertices whose 10 pair statuses are known and form a path.
+
+    ``km`` must be symmetric, as ``knowledge_closure`` returns it.
+    """
     return _find_p5_known(km.edge, km.nonedge, km.n)
 
 

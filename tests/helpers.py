@@ -132,3 +132,67 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def reference_find_p5_known(edge, nonedge, n):
+    """The a, b, c, d extension search that step (v) first used; witness oracle."""
+    from p5cert.graphs import iter_bits
+
+    for a in range(1, n + 1):
+        ne_a = nonedge[a]
+        for b in iter_bits(edge[a]):
+            for c in iter_bits(edge[b] & ne_a):
+                ne_ab = ne_a & nonedge[b]
+                for d in iter_bits(edge[c] & ne_ab):
+                    cand = edge[d] & ne_ab & nonedge[c]
+                    if cand:
+                        return (a, b, c, d, (cand & -cand).bit_length())
+    return None
+
+
+def reference_closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx):
+    """The knowledge closure with its per-bit symmetrize loop; oracle.
+
+    Raises ``Contradiction`` at the pair the per-bit loop first meets.
+    """
+    from p5cert.graphs import iter_bits
+    from p5cert.p5free import KnowledgeMap, _clash, _row_claims
+
+    full = (1 << n) - 1
+    edge = [0] * (n + 1)
+    nonedge = [0] * (n + 1)
+    for x, row, _ in _row_claims(u, nbr_mask, dec_u, dec_nbrs):
+        new_ne = full & ~row & ~(1 << (x - 1))
+        bad = nonedge[x] & row | edge[x] & new_ne
+        if bad:
+            _clash(x, bad)
+        edge[x] |= row
+        nonedge[x] |= new_ne
+    for masks, into, against in (
+        (pidx.intra_edge, edge, nonedge),
+        (pidx.intra_nonedge, nonedge, edge),
+        (pidx.cross_nonedge, nonedge, edge),
+    ):
+        for x in range(1, n + 1):
+            bad = against[x] & masks[x]
+            if bad:
+                _clash(x, bad)
+            into[x] |= masks[x]
+    for x in range(1, n + 1):
+        bit = 1 << (x - 1)
+        for y in iter_bits(edge[x]):
+            if nonedge[y] & bit:
+                _clash(x, 1 << (y - 1))
+            edge[y] |= bit
+        for y in iter_bits(nonedge[x]):
+            if edge[y] & bit:
+                _clash(x, 1 << (y - 1))
+            nonedge[y] |= bit
+    return KnowledgeMap(n, tuple(edge), tuple(nonedge))
+
+
+def naive_transpose(rows, n):
+    """Bit y-1 of result[x] is bit x-1 of rows[y], one bit at a time."""
+    return [0] + [
+        sum(((rows[y] >> (x - 1)) & 1) << (y - 1) for y in range(1, n + 1)) for x in range(1, n + 1)
+    ]

@@ -203,6 +203,16 @@ def test_golden_digest_greedy_trials():
     assert h.hexdigest() == "cca1291bae504f4da53aa1a661151fef0e5f3237ab81281fd654dcc91922c922"
 
 
+def test_golden_digest_all_strategy_trials():
+    # certificate bytes of every trial of all five strategies, pinned
+    h = hashlib.sha256()
+    for i, g in enumerate(_golden_fuzz_graphs()):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
+                h.update(write_certificates(certs).encode())
+    assert h.hexdigest() == "c9b230932c686040520ab057e57855ecf58b1f6bcecedf746316b94d363522bc"
+
+
 def test_measure_scaling_rows_and_determinism():
     rows1, c1 = pc.measure_scaling([8, 16], "split", seed=5)
     rows2, c2 = pc.measure_scaling([8, 16], "split", seed=5)

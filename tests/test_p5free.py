@@ -6,10 +6,11 @@ import pytest
 
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
-from p5cert.errors import DisconnectedInput, ThresholdViolation
+from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.p5free import Contradiction, bag_is_small, ceil_sqrt, scheme
-from helpers import random_graph
+from p5cert.harness import STRATEGIES, p5free_corpus
+from p5cert.p5free import Contradiction, _closure, _partition_index, _transpose, bag_is_small, ceil_sqrt, scheme
+from helpers import naive_transpose, random_graph, reference_closure, reference_find_p5_known
 
 SCHEME = scheme()
 
@@ -295,6 +296,84 @@ def test_find_known_p5_matches_naive():
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert g.has_edge(got[i], got[j]) == (j - i == 1)
+
+
+def random_partial_map(n, rng):
+    edge, nonedge = [0] * (n + 1), [0] * (n + 1)
+    p_edge, p_unknown = rng.choice([0.3, 0.5, 0.7]), rng.choice([0.0, 0.1, 0.25, 0.5])
+    for x, y in itertools.combinations(range(1, n + 1), 2):
+        r = rng.random()
+        if r < p_unknown:
+            continue
+        rows = edge if r < p_unknown + (1 - p_unknown) * p_edge else nonedge
+        rows[x] |= 1 << (y - 1)
+        rows[y] |= 1 << (x - 1)
+    return pc.KnowledgeMap(n, tuple(edge), tuple(nonedge))
+
+
+def test_find_known_p5_matches_reference_on_partial_maps():
+    rng = random.Random(77)
+    found = 0
+    for _ in range(3000):
+        km = random_partial_map(rng.randint(5, 12), rng)
+        want = reference_find_p5_known(km.edge, km.nonedge, km.n)
+        assert pc.find_known_induced_p5(km) == want
+        found += want is not None
+    assert 500 < found < 2500  # both outcomes well represented
+
+
+def closure_outcome(closure, view):
+    """The knowledge map or the clashing pair; None when undecodable."""
+    n = view.n
+    try:
+        dec_u = decode_certificate(view.self_cert, n)
+        dec_nbrs = [(w, decode_certificate(bw, n)) for w, bw in view.neighbors]
+    except MalformedCertificate:
+        return None
+    pidx = _partition_index(dec_u.partitioning_part, n)
+    if pidx is None:
+        return None
+    try:
+        return closure(view.self_id, n, view.neighbor_ids_mask(), dec_u, dec_nbrs, pidx)
+    except Contradiction as exc:
+        return exc.pair
+
+
+def test_closure_matches_reference():
+    views = []
+    for spec in p5free_corpus()[::4]:
+        g = pc.generate(spec)
+        certs = pc.prove(g)
+        views += [local_view(g, certs, v) for v in g.vertices()]
+    p5_graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)][::25]
+    for i, g in enumerate(p5_graphs):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
+                views += [local_view(g, certs, v) for v in g.vertices()]
+    outcomes = {"map": 0, "clash": 0}
+    for view in views:
+        want = closure_outcome(reference_closure, view)
+        assert closure_outcome(_closure, view) == want
+        if want is not None:
+            outcomes["clash" if isinstance(want, tuple) else "map"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65, 200, 1024])
+def test_transpose_matches_naive_and_is_an_involution(n):
+    rng = random.Random(n)
+    rows = [0] + [rng.getrandbits(n) for _ in range(n)]
+    t = _transpose(rows, n)
+    assert t == naive_transpose(rows, n)
+    assert _transpose(t, n) == rows
+
+
+@pytest.mark.parametrize("family", ["split", "cograph", "p5free-repair"])
+def test_completeness_above_64(family):
+    g = pc.generate(pc.GeneratorSpec(family, 256, 0.5, 1))
+    if family == "split":  # a big clique bag: the round-robin pieces route
+        assert not all(bag_is_small(bag, g.n) for bag in pc.build_tree_partition(g).bags)
+    assert pc.run(g, SCHEME).all_accept
 
 
 def test_verdict_invariants():
