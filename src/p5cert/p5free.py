@@ -62,15 +62,18 @@ def prove(g: Graph) -> CertificateAssignment:
     require_connected(g)
     tp = build_tree_partition(g)
     part_bits = encode_partitioning(tp, g.n)
-    node_of = tp.node_of()
+    subtree = tp.subtree_masks()
+    entries: dict[int, tuple[NeighborhoodRow, ...]] = {}
+    for node, bag in enumerate(tp.bags):
+        members = bag.sorted_members()
+        if bag_is_small(bag, g.n):
+            rows = tuple(NeighborhoodRow(m, g.adj[m]) for m in members)
+            entries.update((m, rows) for m in members)
+        else:
+            entries.update(zip(members, _round_robin(g, members, subtree[node])))
     certs: CertificateAssignment = {}
     for v in g.vertices():
-        bag = tp.bags[node_of[v]]
-        if bag_is_small(bag, g.n):
-            entries = tuple(NeighborhoodRow(m, g.adj[m]) for m in bag.sorted_members())
-        else:
-            entries = tuple(pieces_for(g, tp, node_of[v], v))
-        cert = EncodedCertificate(g.n, g.adj[v], part_bits, entries)
+        cert = EncodedCertificate(g.n, g.adj[v], part_bits, entries[v])
         certs[v] = encode_certificate(cert, g.n)
     return certs
 
@@ -89,14 +92,19 @@ def pieces_for(g: Graph, tp: TreePartition, bag_node: int, member: int) -> list[
     if bag.kind != CLIQUE or len(bag.members) <= ceil_sqrt(tp.n):
         raise ThresholdViolation("round-robin pieces need a clique bag above the size threshold")
     members = bag.sorted_members()
-    slot = members.index(member)
+    bundles = _round_robin(g, members, tp.subtree_masks()[bag_node])
+    return list(bundles[members.index(member)])
+
+
+def _round_robin(g: Graph, members: tuple[int, ...], subtree: int) -> list[tuple[NeighborhoodRow, ...]]:
+    """Every member's bundle (see ``pieces_for``) from one walk of the subtree."""
     k = len(members)
-    rows = [NeighborhoodRow(member, g.adj[member])]
-    subtree = tp.subtree_masks()[bag_node]
+    bundles = [[NeighborhoodRow(m, g.adj[m])] for m in members]
     for j, v in enumerate(iter_bits(subtree)):
-        if j % k == slot and v != member:
-            rows.append(NeighborhoodRow(v, g.adj[v]))
-    return rows
+        slot = j % k
+        if v != members[slot]:
+            bundles[slot].append(NeighborhoodRow(v, g.adj[v]))
+    return [tuple(rows) for rows in bundles]
 
 
 # --- decoded-certificate and partition caches ------------------------------

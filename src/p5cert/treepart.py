@@ -138,89 +138,123 @@ class TreePartition:
         return tuple(masks)
 
 
-def _closed_in(g: Graph, v: int, comp: int) -> int:
-    return (g.adj[v] & comp) | (1 << (v - 1))
-
-
 def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
-    """Staged exhaustive search inside the component given by mask ``comp``.
+    """Staged search inside the component given by mask ``comp``.
 
     Order: singletons by id, edges lexicographically, triangles
     lexicographically, induced P3s lexicographically (by sorted triple),
     then maximal cliques by pivoting enumeration, first dominating one wins.
-    Coverage pruning below only skips candidates that provably cannot
-    dominate, so the returned structure is the same as for the naive scan.
+
+    Every stage after the singletons is anchored on coverage instead of
+    scanning pairs.  A set S dominates ``comp`` exactly when S meets N[w]
+    for every w in ``comp``; so once the lowest member x is fixed, the
+    other members must cover rest_x = comp - N[x], one of them lies in
+    N[w] for any chosen w in rest_x, and the last one lies in N[r] for
+    every r that the others leave uncovered.  Each restriction only drops
+    candidates that cannot dominate, so every stage returns the same
+    lexicographically first structure as a scan over all pairs.
     """
     adj = g.adj
-    cn = {v: _closed_in(g, v, comp) for v in iter_bits(comp)}
 
     # singletons
-    for v in iter_bits(comp):
-        if comp & ~cn[v] == 0:
-            return Bag(frozenset([v]), CLIQUE)
+    m = comp
+    while m:
+        low = m & -m
+        if comp & ~(adj[low.bit_length()] | low) == 0:
+            return Bag(frozenset([low.bit_length()]), CLIQUE)
+        m ^= low
 
-    # edges
-    for u in iter_bits(comp):
-        above = ~((1 << u) - 1)
-        for v in iter_bits(adj[u] & comp & above):
-            if comp & ~(cn[u] | cn[v]) == 0:
-                return Bag(frozenset([u, v]), CLIQUE)
-
-    def narrow_by_coverage(cands: int, rest: int, cap: int = 16) -> tuple[int, int]:
-        # a third vertex z completes domination only if rest fits inside
-        # N[z]; intersecting the closed neighborhoods of uncovered vertices
-        # is an exact filter, applied to at most `cap` of them
-        while rest and cands and cap:
+    # edges {x < y}: y lies in N[r] for every r of rest_x, which is never
+    # empty here because no singleton dominates
+    m = comp
+    while m:
+        xb = m & -m
+        m ^= xb
+        x = xb.bit_length()
+        cands = adj[x] & m
+        rest = comp & ~(adj[x] | xb)
+        while rest and cands:
             low = rest & -rest
-            cands &= cn[low.bit_length()]
+            cands &= adj[low.bit_length()] | low
             rest ^= low
-            cap -= 1
-        return cands, rest
+        if cands:
+            return Bag(frozenset([x, (cands & -cands).bit_length()]), CLIQUE)
 
-    # triangles, enumerated by sorted triple {x < y < z}
-    for x in iter_bits(comp):
-        ax = adj[x] & comp
-        for y in iter_bits(ax & ~((1 << x) - 1)):
-            base = ax & adj[y] & ~((1 << y) - 1)
-            if not base:
-                continue
-            rest = comp & ~(cn[x] | cn[y])
-            cands, rem = narrow_by_coverage(base, rest)
-            for z in iter_bits(cands):
-                if rem & ~cn[z] == 0:
-                    return Bag(frozenset([x, y, z]), CLIQUE)
-
-    # induced P3s, enumerated by sorted triple {x < y < z}
-    for x in iter_bits(comp):
-        ax = adj[x] & comp
-        for y in iter_bits(comp & ~((1 << x) - 1) & ~(1 << (x - 1))):
-            ay = adj[y] & comp
-            adjacent = (ax >> (y - 1)) & 1
-            # exactly two of the three pairs must be edges
-            base = (ax ^ ay if adjacent else ax & ay) & ~((1 << y) - 1)
-            if not base:
-                continue
-            rest = comp & ~(cn[x] | cn[y])
-            cands, rem = narrow_by_coverage(base, rest)
-            for z in iter_bits(cands):
-                if rem & ~cn[z]:
-                    continue
-                if not adjacent:
-                    order = (x, z, y)
-                elif (ax >> (z - 1)) & 1:
-                    order = (z, x, y) if z < y else (y, x, z)
-                else:
-                    order = (x, y, z)
-                return Bag(frozenset([x, y, z]), P3, order)
+    # the anchors of the triples, fewest neighbours in comp first
+    order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
+    found = _first_dominating_triple(adj, comp, order, True)
+    if found is not None:
+        return Bag(frozenset(found), CLIQUE)
+    found = _first_dominating_triple(adj, comp, order, False)
+    if found is not None:
+        x, y, z = found
+        # the centre is z if x and y are apart, x if it sees both, else y
+        if not (adj[x] >> (y - 1)) & 1:
+            order = (x, z, y)
+        elif (adj[x] >> (z - 1)) & 1:
+            order = (y, x, z)
+        else:
+            order = (x, y, z)
+        return Bag(frozenset(found), P3, order)
 
     # maximal cliques, Bron-Kerbosch with pivot, iterative
-    found = _first_dominating_maximal_clique(g, comp, cn)
+    found = _first_dominating_maximal_clique(g, comp)
     if found is not None:
         return Bag(set_of(found), CLIQUE)
     return None
 
 
-def _first_dominating_maximal_clique(g: Graph, comp: int, cn: dict[int, int]) -> Optional[int]:
+def _first_dominating_triple(
+    adj: tuple[int, ...], comp: int, order: list[int], triangle: bool
+) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first dominating triangle (or induced P3) of comp.
+
+    For the lowest member x, the anchor w is the first vertex of ``order``
+    in rest_x (never empty, since no singleton dominates); the member b
+    meeting N[w] runs over N[w] & pool, and the third member c must cover
+    rest_x - N[b].
+    """
+    m = comp
+    while m:
+        xb = m & -m
+        m ^= xb
+        x = xb.bit_length()
+        ax = adj[x]
+        pool = ax & m if triangle else m
+        rest = comp & ~(ax | xb)
+        for w in order:
+            if (rest >> (w - 1)) & 1:
+                break
+        bs = (adj[w] | (1 << (w - 1))) & pool
+        pair = None
+        while bs:
+            bb = bs & -bs
+            bs ^= bb
+            b = bb.bit_length()
+            ab = adj[b]
+            if triangle:
+                cands = pool & ab
+            elif ax & bb:
+                # exactly two of the three pairs must be edges
+                cands = pool & (ax ^ ab) & ~bb
+            else:
+                cands = pool & ax & ab
+            left = rest & ~(ab | bb)
+            while left and cands:
+                low = left & -left
+                cands &= adj[low.bit_length()] | low
+                left ^= low
+            if cands:
+                c = (cands & -cands).bit_length()
+                cand = (c, b) if c < b else (b, c)
+                if pair is None or cand < pair:
+                    pair = cand
+        if pair is not None:
+            return (x,) + pair
+    return None
+
+
+def _first_dominating_maximal_clique(g: Graph, comp: int) -> Optional[int]:
     adj = g.adj
 
     def pivot(p: int, x: int) -> int:

@@ -55,6 +55,129 @@ def naive_dominating_structure(g: Graph, comp: int):
     return None  # maximal-clique stage not reimplemented here
 
 
+def reference_dominating_structure(g: Graph, comp: int):
+    """The pairwise staged scan used before coverage anchoring; oracle for every stage.
+
+    Order: singletons by id, edges lexicographically, triangles
+    lexicographically, induced P3s lexicographically (by sorted triple),
+    then maximal cliques by pivoting enumeration, first dominating one wins.
+    Coverage pruning below only skips candidates that provably cannot
+    dominate, so the returned structure is the same as for the naive scan.
+    """
+    from p5cert.graphs import iter_bits
+
+    adj = g.adj
+    cn = {v: (adj[v] & comp) | (1 << (v - 1)) for v in iter_bits(comp)}
+
+    # singletons
+    for v in iter_bits(comp):
+        if comp & ~cn[v] == 0:
+            return Bag(frozenset([v]), CLIQUE)
+
+    # edges
+    for u in iter_bits(comp):
+        above = ~((1 << u) - 1)
+        for v in iter_bits(adj[u] & comp & above):
+            if comp & ~(cn[u] | cn[v]) == 0:
+                return Bag(frozenset([u, v]), CLIQUE)
+
+    def narrow_by_coverage(cands: int, rest: int, cap: int = 16) -> tuple[int, int]:
+        # a third vertex z completes domination only if rest fits inside
+        # N[z]; intersecting the closed neighborhoods of uncovered vertices
+        # is an exact filter, applied to at most `cap` of them
+        while rest and cands and cap:
+            low = rest & -rest
+            cands &= cn[low.bit_length()]
+            rest ^= low
+            cap -= 1
+        return cands, rest
+
+    # triangles, enumerated by sorted triple {x < y < z}
+    for x in iter_bits(comp):
+        ax = adj[x] & comp
+        for y in iter_bits(ax & ~((1 << x) - 1)):
+            base = ax & adj[y] & ~((1 << y) - 1)
+            if not base:
+                continue
+            rest = comp & ~(cn[x] | cn[y])
+            cands, rem = narrow_by_coverage(base, rest)
+            for z in iter_bits(cands):
+                if rem & ~cn[z] == 0:
+                    return Bag(frozenset([x, y, z]), CLIQUE)
+
+    # induced P3s, enumerated by sorted triple {x < y < z}
+    for x in iter_bits(comp):
+        ax = adj[x] & comp
+        for y in iter_bits(comp & ~((1 << x) - 1) & ~(1 << (x - 1))):
+            ay = adj[y] & comp
+            adjacent = (ax >> (y - 1)) & 1
+            # exactly two of the three pairs must be edges
+            base = (ax ^ ay if adjacent else ax & ay) & ~((1 << y) - 1)
+            if not base:
+                continue
+            rest = comp & ~(cn[x] | cn[y])
+            cands, rem = narrow_by_coverage(base, rest)
+            for z in iter_bits(cands):
+                if rem & ~cn[z]:
+                    continue
+                if not adjacent:
+                    order = (x, z, y)
+                elif (ax >> (z - 1)) & 1:
+                    order = (z, x, y) if z < y else (y, x, z)
+                else:
+                    order = (x, y, z)
+                return Bag(frozenset([x, y, z]), P3, order)
+
+    # maximal cliques, Bron-Kerbosch with pivot, iterative
+    found = _reference_maximal_clique(g, comp)
+    if found is not None:
+        return Bag(set_of(found), CLIQUE)
+    return None
+
+
+def _reference_maximal_clique(g: Graph, comp: int):
+    """First dominating maximal clique of comp, Bron-Kerbosch with pivot.
+
+    A copy of the search's last stage (less an unread parameter), kept here
+    so that the maximal-clique outcomes are checked against code the
+    search does not share.
+    """
+    from p5cert.graphs import iter_bits
+
+    adj = g.adj
+
+    def pivot(p: int, x: int) -> int:
+        best, best_cnt = 0, -1
+        for v in iter_bits(p | x):
+            cnt = bin(adj[v] & p).count("1")
+            if cnt > best_cnt:
+                best, best_cnt = v, cnt
+        return best
+
+    # frames: (r_mask, p_mask, x_mask, candidates_iterator_state)
+    stack = [(0, comp, 0, None)]
+    while stack:
+        r, p, x, cand = stack.pop()
+        if cand is None:
+            if p == 0 and x == 0:
+                covered = r
+                for v in iter_bits(r):
+                    covered |= adj[v] & comp
+                if comp & ~covered == 0:
+                    return r
+                continue
+            cand = p & ~adj[pivot(p, x)]
+        if cand == 0:
+            continue
+        low = cand & -cand
+        v = low.bit_length()
+        vb = 1 << (v - 1)
+        # resume this frame later with v moved from P to X
+        stack.append((r, p & ~vb, x | vb, cand ^ low))
+        stack.append((r | vb, p & adj[v], x & adj[v], None))
+    return None
+
+
 def nested_trees(t: int):
     """All ordered rooted trees on t nodes as nested child lists."""
     if t == 1:

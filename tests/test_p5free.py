@@ -8,7 +8,7 @@ import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.harness import STRATEGIES, p5free_corpus
+from p5cert.harness import STRATEGIES, GeneratorSpec, p5free_corpus
 from p5cert.p5free import Contradiction, _closure, _partition_index, _transpose, bag_is_small, ceil_sqrt, scheme
 from helpers import naive_transpose, random_graph, reference_closure, reference_find_p5_known
 
@@ -95,6 +95,19 @@ def test_pieces_coverage_random_big_cliques():
         for member in bag.members:
             covered.update(e.owner for e in pc.pieces_for(g, tp, 0, member))
         assert covered == set(range(1, n + 1))
+
+
+def test_prove_bundles_match_pieces_for():
+    # prove deals every big bag's rows in one walk; pieces_for is one member's view
+    for g in (k5_with_pendants(), pc.generate(GeneratorSpec("split", 80, 0.5, 6))):
+        tp = pc.build_tree_partition(g)
+        certs = pc.prove(g)
+        big = [i for i, bag in enumerate(tp.bags) if not bag_is_small(bag, g.n)]
+        assert big
+        for node in big:
+            for member in tp.bags[node].members:
+                entries = decode_certificate(certs[member], g.n).pieces_part
+                assert list(entries) == pc.pieces_for(g, tp, node, member)
 
 
 def test_verify_accepts_big_clique_route():
@@ -254,6 +267,16 @@ def test_golden_digest_honest_verdicts(corpus_graphs):
     for _, g in corpus_graphs:
         h.update(format_run_report(pc.run(g, SCHEME), g.n).encode())
     assert h.hexdigest() == "f32ce424c2dacd464e85dbcdb39f11ca965786cb5a599b47aaaae672666d058e"
+
+
+def test_golden_digest_prove_certificates(corpus_graphs):
+    # certificate bytes of the corpus and of split n=512, pinned
+    h = hashlib.sha256()
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [pc.generate(GeneratorSpec("split", 512, 0.5, seed)) for seed in (1, 2, 3)]
+    for g in graphs:
+        h.update(pc.write_certificates(pc.prove(g)).encode())
+    assert h.hexdigest() == "94d81bbb6ae714bc57be9d4d1bf617c28dbf1e6a669b4b4546d704338c8468cb"
 
 
 def test_knowledge_soundness_on_corpus_sample(corpus_graphs):

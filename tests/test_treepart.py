@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 import p5cert as pc
 from p5cert.errors import DisconnectedInput, NoDominatingStructure
-from p5cert.graphs import component_masks
+from p5cert.graphs import build_graph, component_masks
+from p5cert.harness import FAMILIES, GeneratorSpec
 from p5cert.treepart import (
     CLIQUE,
     P3,
@@ -14,7 +16,7 @@ from p5cert.treepart import (
     find_dominating_structure_in,
     format_tree_partition,
 )
-from helpers import naive_dominating_structure, random_graph
+from helpers import naive_dominating_structure, random_graph, reference_dominating_structure
 
 
 def complete_graph(n):
@@ -52,6 +54,63 @@ def test_dominating_structure_matches_naive_scan():
             elif got is not None:
                 # only the maximal-clique stage may fire beyond the naive scan
                 assert got.kind == CLIQUE and len(got.members) > 3
+
+
+def _outcome(bag):
+    if bag is None:
+        return "none"
+    if bag.kind == P3:
+        return "p3"
+    return {1: "singleton", 2: "edge", 3: "triangle"}.get(len(bag.members), "maximal clique")
+
+
+def _clique_with_private_neighbours(rng):
+    # a k-clique whose members each keep a pendant vertex, plus noise: no
+    # triple dominates once k >= 4, so the maximal-clique stage is reached
+    k = rng.randint(3, 7)
+    n = min(14, 2 * k + rng.randint(0, 2))
+    edges = {(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)}
+    edges |= {(i, k + i) for i in range(1, k + 1) if k + i <= n}
+    edges |= {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.08}
+    perm = rng.sample(range(1, n + 1), n)
+    return build_graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
+def test_dominating_structure_matches_reference_on_random_submasks():
+    rng = random.Random(404)
+    seen = Counter()
+    for i in range(3000):
+        if i % 2:
+            g = random_graph(rng.randint(1, 14), rng.choice([0.15, 0.25, 0.35, 0.5, 0.7, 0.85]), rng)
+        else:
+            g = _clique_with_private_neighbours(rng)
+        sub = g.full_mask if rng.random() < 0.5 else rng.getrandbits(g.n) | 1 << rng.randrange(g.n)
+        for comp in component_masks(g, sub):
+            got = find_dominating_structure_in(g, comp)
+            assert got == reference_dominating_structure(g, comp), (g.adj, comp)
+            seen[_outcome(got)] += 1
+    for outcome in ("edge", "triangle", "p3", "maximal clique", "none"):
+        assert seen[outcome] >= 150, seen
+
+
+def test_dominating_structure_matches_reference_on_build_steps():
+    # every component the builder would peel, for every generator family;
+    # families that may contain a 5-path also reach components with no bag
+    seen = Counter()
+    for family in FAMILIES:
+        for n in (8, 16, 32, 64):
+            for seed in (1, 2, 3):
+                g = pc.generate(GeneratorSpec(family, n, 0.5, seed))
+                stack = component_masks(g, g.full_mask)
+                while stack:
+                    comp = stack.pop()
+                    got = find_dominating_structure_in(g, comp)
+                    assert got == reference_dominating_structure(g, comp), (family, n, seed, comp)
+                    seen[_outcome(got)] += 1
+                    if got is not None:
+                        stack.extend(component_masks(g, comp & ~got.mask))
+    for outcome in ("edge", "triangle", "p3", "maximal clique", "none"):
+        assert seen[outcome] >= 10, seen
 
 
 def test_build_k5_is_singleton_chain():
