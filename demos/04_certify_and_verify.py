@@ -15,11 +15,11 @@ sch = scheme()
 
 c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 print("5-cycle (P5-free):")
-print(format_run_report(pc.run(c5, sch), 5))
+print(format_run_report(pc.run(c5, sch)))
 
 p5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 print("5-path (certification must fail):")
-print(format_run_report(pc.run(p5, sch), 5))
+print(format_run_report(pc.run(p5, sch)))
 
 # what vertex 3 actually knows
 certs = pc.prove(p5)

@@ -86,7 +86,7 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     certs = parse_certificates(Path(args.certs).read_text())
     report = run(g, get_scheme(args.scheme), certs)
-    sys.stdout.write(format_run_report(report, g.n))
+    sys.stdout.write(format_run_report(report))
     return EXIT_OK if report.all_accept else EXIT_REJECT
 
 
@@ -94,7 +94,7 @@ def _cmd_run(args) -> int:
     g = _load_graph(args.graph)
     certs = parse_certificates(Path(args.certs).read_text()) if args.certs else None
     report = run(g, get_scheme(args.scheme), certs)
-    sys.stdout.write(format_run_report(report, g.n))
+    sys.stdout.write(format_run_report(report))
     print(f"max_bits={report.max_cert_bits} n={g.n} ratio={report.max_cert_bits / g.n**1.5:.6f}")
     return EXIT_OK if report.all_accept else EXIT_REJECT
 

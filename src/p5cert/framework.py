@@ -104,7 +104,7 @@ def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None)
     )
 
 
-def format_run_report(report: RunReport, n: int) -> str:
+def format_run_report(report: RunReport) -> str:
     """One verdict line per vertex plus the summary line."""
     lines = []
     rejected = 0

@@ -127,13 +127,11 @@ class PartitionIndex:
     members_mask: tuple[int, ...]  # per node
     subtree_mask: tuple[int, ...]  # per node, recomputed, never trusted from certificates
     strict_ancestors: tuple[tuple[int, ...], ...]  # per node, root first
-    anc_nodes: tuple[int, ...]  # per node: bitmask over nodes, ancestors incl. self
     intra_edge: tuple[int, ...]  # per vertex: bag-implied known edges
     intra_nonedge: tuple[int, ...]  # per vertex: P3 endpoint non-edges
-    cross_nonedge: tuple[int, ...]  # per vertex: other-branch non-edges
-
-    def comparable(self, a: int, b: int) -> bool:
-        return bool((self.anc_nodes[a] >> b) & 1 or (self.anc_nodes[b] >> a) & 1)
+    # per vertex in bag i: every vertex outside the strict ancestors' bags and
+    # outside subtree i, i.e. the bags in other branches, all non-neighbours
+    cross_nonedge: tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -147,20 +145,18 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
     members_mask = tuple(bag.mask for bag in tp.bags)
     subtree = tp.subtree_masks()
 
-    order = list(tree.preorder())
-    anc_nodes = [0] * t
+    full = (1 << n) - 1
+    above = [0] * t  # vertex mask of the strict ancestors' bags
     strict_anc: list[tuple[int, ...]] = [()] * t
-    for node in order:
+    cross_nonedge = [0] * (n + 1)
+    for node in tree.preorder():
         p = tree.parent[node]
-        if p is None:
-            anc_nodes[node] = 1 << node
-        else:
-            anc_nodes[node] = anc_nodes[p] | (1 << node)
+        if p is not None:
+            above[node] = above[p] | members_mask[p]
             strict_anc[node] = strict_anc[p] + (p,)
-    desc_nodes = [1 << i for i in range(t)]
-    for node in reversed(order):
-        for k in tree.children[node]:
-            desc_nodes[node] |= desc_nodes[k]
+        other = full & ~above[node] & ~subtree[node]
+        for v in iter_bits(members_mask[node]):
+            cross_nonedge[v] = other
 
     intra_edge = [0] * (n + 1)
     intra_nonedge = [0] * (n + 1)
@@ -177,27 +173,12 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
             for v in iter_bits(m):
                 intra_edge[v] |= m & ~(1 << (v - 1))
 
-    cross_nonedge = [0] * (n + 1)
-    full_nodes = (1 << t) - 1
-    for i in range(t):
-        incomp = full_nodes & ~anc_nodes[i] & ~desc_nodes[i]
-        if not incomp:
-            continue
-        other = 0
-        while incomp:
-            low = incomp & -incomp
-            other |= members_mask[low.bit_length() - 1]
-            incomp ^= low
-        for v in iter_bits(members_mask[i]):
-            cross_nonedge[v] |= other
-
     return PartitionIndex(
         tp=tp,
         node_of=tp.node_of(),
         members_mask=members_mask,
         subtree_mask=subtree,
         strict_ancestors=tuple(strict_anc),
-        anc_nodes=tuple(anc_nodes),
         intra_edge=tuple(intra_edge),
         intra_nonedge=tuple(intra_nonedge),
         cross_nonedge=tuple(cross_nonedge),
@@ -491,9 +472,9 @@ def verify(view: LocalView) -> Verdict:
     for t_node in pidx.strict_ancestors[s]:
         if not pidx.members_mask[t_node] & nbr_mask:
             return Verdict(False, "iii", f"no neighbor in ancestor bag {t_node}")
-    for w, _ in dec_nbrs:
-        if not pidx.comparable(s, pidx.node_of[w]):
-            return Verdict(False, "iii", f"neighbor {w} lies in an unrelated branch")
+    stray = nbr_mask & pidx.cross_nonedge[u]
+    if stray:
+        return Verdict(False, "iii", f"neighbor {(stray & -stray).bit_length()} lies in an unrelated branch")
 
     # (iv) pieces consistency
     if bag_is_small(bag, n):

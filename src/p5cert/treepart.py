@@ -327,7 +327,11 @@ def build_tree_partition(g: Graph) -> TreePartition:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
-    """First failed check: condition in {partition, 1, 2, 3, ancestor-edge}."""
+    """First failed check: condition in {partition, 1, 2, 3}.
+
+    (3) implies that every edge joins ancestor-related bags: an edge between
+    two child subtrees of a node a lies in one component of subtree(a) - bag(a).
+    """
 
     condition: str
     witness: str
@@ -339,8 +343,9 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
 
     Check order: the partition property, then per node in preorder the bag
     shape (1), domination of the subtree's subgraph (2) and the component
-    split (3), and finally the redundant diagnostic that the endpoints of
-    every edge sit in ancestor-related bags.
+    split (3).  A partition that passes (3) has every edge inside one bag or
+    between ancestor-related bags, since the ends of an edge always share a
+    component of the remainder at their lowest common ancestor.
     """
     if tp.n != g.n:
         return Violation("partition", f"partition covers 1..{tp.n}, graph has n={g.n}")
@@ -378,18 +383,6 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
                 f"child subtrees {[sorted(set_of(m)) for m in kids]}",
                 node,
             )
-
-    # diagnostic: every edge must connect ancestor-related bags
-    node_of = tp.node_of()
-    ancestors: list[set[int]] = [set() for _ in range(tp.tree.node_count)]
-    for node in order:
-        p = tp.tree.parent[node]
-        if p is not None:
-            ancestors[node] = ancestors[p] | {p}
-    for u, v in g.edges():
-        s, t = node_of[u], node_of[v]
-        if s != t and s not in ancestors[t] and t not in ancestors[s]:
-            return Violation("ancestor-edge", f"edge {u}-{v} joins unrelated bags {s} and {t}")
     return None
 
 

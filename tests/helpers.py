@@ -319,3 +319,44 @@ def naive_transpose(rows, n):
     return [0] + [
         sum(((rows[y] >> (x - 1)) & 1) << (y - 1) for y in range(1, n + 1)) for x in range(1, n + 1)
     ]
+
+
+def reference_cross_nonedge(tp: TreePartition):
+    """Per vertex, the members of every bag incomparable to its own; oracle.
+
+    The node-ancestor and node-descendant bitmasks with a loop over the
+    incomparable nodes, as the partition index first built them.
+    """
+    from p5cert.graphs import iter_bits
+
+    tree = tp.tree
+    t = tree.node_count
+    n = tp.n
+    members_mask = [bag.mask for bag in tp.bags]
+    order = list(tree.preorder())
+    anc_nodes = [0] * t
+    for node in order:
+        p = tree.parent[node]
+        if p is None:
+            anc_nodes[node] = 1 << node
+        else:
+            anc_nodes[node] = anc_nodes[p] | (1 << node)
+    desc_nodes = [1 << i for i in range(t)]
+    for node in reversed(order):
+        for k in tree.children[node]:
+            desc_nodes[node] |= desc_nodes[k]
+
+    cross_nonedge = [0] * (n + 1)
+    full_nodes = (1 << t) - 1
+    for i in range(t):
+        incomp = full_nodes & ~anc_nodes[i] & ~desc_nodes[i]
+        if not incomp:
+            continue
+        other = 0
+        while incomp:
+            low = incomp & -incomp
+            other |= members_mask[low.bit_length() - 1]
+            incomp ^= low
+        for v in iter_bits(members_mask[i]):
+            cross_nonedge[v] |= other
+    return tuple(cross_nonedge)

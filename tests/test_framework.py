@@ -95,11 +95,11 @@ def test_all_equal_certificates_max():
 
 def test_report_format(p5_graph):
     report = pc.run(p5_graph, SCHEME)
-    text = format_run_report(report, 5)
+    text = format_run_report(report)
     lines = text.strip().splitlines()
     assert lines[-1] == "result: REJECTED(5)"
     assert any(line.startswith("3 reject step=v") for line in lines)
 
     c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    text = format_run_report(pc.run(c5, SCHEME), 5)
+    text = format_run_report(pc.run(c5, SCHEME))
     assert text.strip().splitlines()[-1] == "result: ALL-ACCEPT"

@@ -191,7 +191,7 @@ def test_golden_digest_adversarial_verdicts():
     for i, g in enumerate(_golden_fuzz_graphs()):
         for kind in STRATEGIES:
             for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
-                h.update(format_run_report(pc.run(g, SCHEME, certs), g.n).encode())
+                h.update(format_run_report(pc.run(g, SCHEME, certs)).encode())
     assert h.hexdigest() == "762d261ec399d71f653e40fa2d49f71327acafd906b3d0f6b9608bc9a7ef5283"
 
 

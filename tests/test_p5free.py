@@ -8,9 +8,15 @@ import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.harness import STRATEGIES, GeneratorSpec, p5free_corpus
+from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, p5free_corpus
 from p5cert.p5free import Contradiction, _closure, _partition_index, _transpose, bag_is_small, ceil_sqrt, scheme
-from helpers import naive_transpose, random_graph, reference_closure, reference_find_p5_known
+from helpers import (
+    naive_transpose,
+    random_graph,
+    reference_closure,
+    reference_cross_nonedge,
+    reference_find_p5_known,
+)
 
 SCHEME = scheme()
 
@@ -175,9 +181,12 @@ def test_verify_step_iii_on_sibling_singletons(p5_graph):
         )
     # vertex 5 is not adjacent to the claimed root bag {1}: domination fails;
     # vertex 2 has neighbor 3 in a sibling branch: separation fails
-    assert SCHEME.verifier(local_view(p5_graph, mutated, 5)).step in ("iii", "iv")
-    verdict2 = SCHEME.verifier(local_view(p5_graph, mutated, 2))
-    assert verdict2.step in ("iii", "iv")
+    assert SCHEME.verifier(local_view(p5_graph, mutated, 5)) == Verdict(
+        False, "iii", "no neighbor in ancestor bag 0"
+    )
+    assert SCHEME.verifier(local_view(p5_graph, mutated, 2)) == Verdict(
+        False, "iii", "neighbor 3 lies in an unrelated branch"
+    )
 
 
 def test_verify_step_iv_on_lying_pieces(p5_graph):
@@ -265,7 +274,7 @@ def test_golden_digest_provenance(corpus_graphs):
 def test_golden_digest_honest_verdicts(corpus_graphs):
     h = hashlib.sha256()
     for _, g in corpus_graphs:
-        h.update(format_run_report(pc.run(g, SCHEME), g.n).encode())
+        h.update(format_run_report(pc.run(g, SCHEME)).encode())
     assert h.hexdigest() == "f32ce424c2dacd464e85dbcdb39f11ca965786cb5a599b47aaaae672666d058e"
 
 
@@ -380,6 +389,18 @@ def test_closure_matches_reference():
         if want is not None:
             outcomes["clash" if isinstance(want, tuple) else "map"] += 1
     assert min(outcomes.values()) > 50, outcomes
+
+
+def test_cross_nonedge_matches_reference(corpus_graphs):
+    partitions = [pc.build_tree_partition(g) for _, g in corpus_graphs]
+    rng = random.Random(5)
+    partitions += [_random_false_partition(rng.randint(1, 40), rng) for _ in range(1200)]
+    nonempty = 0
+    for tp in partitions:
+        want = reference_cross_nonedge(tp)
+        assert _partition_index(pc.encode_partitioning(tp, tp.n), tp.n).cross_nonedge == want
+        nonempty += any(want)
+    assert nonempty > 1000, nonempty
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65, 200, 1024])

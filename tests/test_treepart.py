@@ -16,7 +16,13 @@ from p5cert.treepart import (
     find_dominating_structure_in,
     format_tree_partition,
 )
-from helpers import naive_dominating_structure, random_graph, reference_dominating_structure
+from helpers import (
+    naive_dominating_structure,
+    random_graph,
+    random_tree_partition,
+    reference_cross_nonedge,
+    reference_dominating_structure,
+)
 
 
 def complete_graph(n):
@@ -196,14 +202,43 @@ def test_validate_reports_wrong_n(p5_graph):
     assert pc.validate_tree_partition(p5_graph, tp).condition == "partition"
 
 
-def test_validate_ancestor_edge_diagnostic():
-    # triangle split into sibling bags passes (1) and (2) per node but the
-    # edge between siblings trips the diagnostic after (3) fails first;
-    # build a case where (1)-(3) hold and only the diagnostic can fire:
-    # it is redundant for valid partitions, so check it stays silent
-    g = pc.build_graph(4, [(1, 2), (1, 3), (1, 4)])
-    tp = pc.build_tree_partition(g)
-    assert pc.validate_tree_partition(g, tp) is None
+def graph_fitting_bags(tp, p, rng):
+    """Random graph on which tp passes (1) and (2); other cross-bag pairs are edges with prob. p."""
+    node_of = tp.node_of()
+    edges = set()
+    for u in range(1, tp.n + 1):
+        for v in range(u + 1, tp.n + 1):
+            bag = tp.bags[node_of[u]]
+            if node_of[v] != node_of[u]:
+                keep = rng.random() < p
+            elif bag.kind == P3:
+                keep = abs(bag.p3_order.index(u) - bag.p3_order.index(v)) == 1
+            else:
+                keep = True
+            if keep:
+                edges.add((u, v))
+    for v in range(1, tp.n + 1):
+        a = tp.tree.parent[node_of[v]]
+        while a is not None:
+            w = rng.choice(tp.bags[a].sorted_members())
+            edges.add((min(v, w), max(v, w)))
+            a = tp.tree.parent[a]
+    return pc.build_graph(tp.n, sorted(edges))
+
+
+def test_validate_catches_every_edge_between_unrelated_bags():
+    # no separate ancestor-edge check exists: (3) must catch every such edge
+    rng = random.Random(11)
+    caught = Counter()
+    for _ in range(3000):
+        tp = random_tree_partition(rng.randint(2, 8), rng)
+        g = graph_fitting_bags(tp, rng.uniform(0.0, 0.6), rng)
+        cross = reference_cross_nonedge(tp)
+        if any(g.adj[v] & cross[v] for v in g.vertices()):
+            violation = pc.validate_tree_partition(g, tp)
+            assert violation is not None
+            caught[violation.condition] += 1
+    assert set(caught) == {"3"} and caught["3"] > 500, caught
 
 
 def test_every_edge_ancestor_comparable_on_corpus(corpus_graphs):
