@@ -56,6 +56,7 @@ from .p5free import (
     pieces_for,
     prove,
     verify,
+    verify_all,
 )
 from .treepart import (
     Bag,

@@ -10,7 +10,7 @@ vertex of a connected graph and aggregates the verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bits import Bits
 from .errors import MissingCertificate, ProverFailed
@@ -55,11 +55,17 @@ ACCEPT = Verdict(True)
 
 @dataclass(frozen=True, slots=True)
 class Scheme:
-    """A named prover/verifier pair; the verifier must depend on the view only."""
+    """A named prover/verifier pair; the verifier must depend on the view only.
+
+    ``batch_verifier``, when given, takes the views of every vertex at once
+    and must return exactly the verdicts the per-view verifier gives them,
+    keyed by vertex id; it exists only to be faster.
+    """
 
     name: str
     prover: Callable[[Graph], CertificateAssignment]
     verifier: Callable[[LocalView], Verdict]
+    batch_verifier: Optional[Callable[[Sequence[LocalView]], dict[int, Verdict]]] = None
 
 
 @dataclass
@@ -88,14 +94,23 @@ def total_cert_bits(certs: CertificateAssignment) -> int:
 
 
 def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None) -> RunReport:
-    """Prove (unless certificates are supplied) and verify at every vertex."""
+    """Prove (unless certificates are supplied) and verify at every vertex.
+
+    The views are built once; the scheme's batch verifier, if it has one,
+    judges them all, otherwise its verifier judges each view.  Both give the
+    same verdicts.
+    """
     require_connected(g)
     if certs is None:
         try:
             certs = scheme.prover(g)
         except Exception as exc:
             raise ProverFailed(f"{scheme.name}: {exc}") from exc
-    verdicts = {v: scheme.verifier(local_view(g, certs, v)) for v in g.vertices()}
+    views = [local_view(g, certs, v) for v in g.vertices()]
+    if scheme.batch_verifier is None:
+        verdicts = {view.self_id: scheme.verifier(view) for view in views}
+    else:
+        verdicts = scheme.batch_verifier(views)
     return RunReport(
         verdicts=verdicts,
         all_accept=all(d.accept for d in verdicts.values()),

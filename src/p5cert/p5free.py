@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn, Optional
+from typing import NoReturn, Optional, Sequence
 
 from .bits import Bits
 from .codec import (
@@ -270,20 +270,15 @@ def _clash(x: int, bad: int) -> NoReturn:
     raise Contradiction((x, y) if x < y else (y, x))
 
 
-def _closure(
-    u: int,
-    n: int,
-    nbr_mask: int,
-    dec_u: EncodedCertificate,
-    dec_nbrs: list[tuple[int, EncodedCertificate]],
-    pidx: PartitionIndex,
-) -> KnowledgeMap:
+def _closure(n: int, claims: list[tuple[int, int, str]], pidx: PartitionIndex) -> KnowledgeMap:
+    """Fold row claims (as ``_row_claims`` lists them), then partition-implied
+    pairs; raises ``Contradiction`` exactly when two of them disagree."""
     full = (1 << n) - 1
     edge = [0] * (n + 1)
     nonedge = [0] * (n + 1)
 
     # (a) own adjacency, (b) neighbor rows, (c) pieces rows
-    for x, row, _ in _row_claims(u, nbr_mask, dec_u, dec_nbrs):
+    for x, row, _ in claims:
         new_ne = full & ~row & ~(1 << (x - 1))
         bad = nonedge[x] & row | edge[x] & new_ne
         if bad:
@@ -356,11 +351,11 @@ def knowledge_closure(view: LocalView, track_provenance: bool = True) -> Knowled
     pidx = _partition_index(dec_u.partitioning_part, n)
     if pidx is None:
         raise MalformedPartitioning("partitioning block undecodable")
-    km = _closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx)
+    claims = _row_claims(u, nbr_mask, dec_u, dec_nbrs)
+    km = _closure(n, claims, pidx)
     if not track_provenance:
         return km
-    prov = _provenance(km, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
-    return KnowledgeMap(n, km.edge, km.nonedge, prov)
+    return KnowledgeMap(n, km.edge, km.nonedge, _provenance(km, claims, pidx))
 
 
 # --- induced 5-path detection over known pairs ------------------------------
@@ -420,11 +415,21 @@ def find_known_induced_p5(km: KnowledgeMap) -> Optional[tuple[int, int, int, int
     return _find_p5_known(km.edge, km.nonedge, km.n)
 
 
+def full_knowledge_map(g: Graph) -> KnowledgeMap:
+    """The map of a vertex that knows every pair of ``g``."""
+    full = g.full_mask
+    nonedge = [full & ~g.adj[v] & ~(1 << (v - 1)) for v in g.vertices()]
+    return KnowledgeMap(g.n, tuple(g.adj), (0, *nonedge))
+
+
 # --- verifier ---------------------------------------------------------------
 
 
-def verify(view: LocalView) -> Verdict:
-    """Local verification; returns the first failing step or accept."""
+def _steps_i_to_iv(
+    view: LocalView,
+) -> Verdict | tuple[int, int, EncodedCertificate, list[tuple[int, EncodedCertificate]], PartitionIndex]:
+    """Decoding and steps (i)-(iv) at one view: the first failing verdict, or
+    (u, nbr_mask, dec_u, dec_nbrs, pidx) for step (v)."""
     n = view.n
     u = view.self_id
 
@@ -504,12 +509,22 @@ def verify(view: LocalView) -> Verdict:
                 if (check_mask >> (e.owner - 1)) & 1 and e.row != nbr_certs[e.owner].neighbors_part:
                     return Verdict(False, "iv", f"pieces row of {e.owner} contradicts its certificate")
 
+    return u, nbr_mask, dec_u, dec_nbrs, pidx
+
+
+def verify(view: LocalView) -> Verdict:
+    """Local verification; returns the first failing step or accept."""
+    checked = _steps_i_to_iv(view)
+    if isinstance(checked, Verdict):
+        return checked
+    u, nbr_mask, dec_u, dec_nbrs, pidx = checked
+
     # (v) assemble knowledge, look for a fully-known induced 5-path
     try:
-        km = _closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx)
+        km = _closure(view.n, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
     except Contradiction as exc:
         return Verdict(False, "v", f"contradictory knowledge about pair {exc.pair}")
-    witness = _find_p5_known(km.edge, km.nonedge, n)
+    witness = _find_p5_known(km.edge, km.nonedge, view.n)
     if witness is not None:
         return Verdict(False, "v", f"induced 5-path {'-'.join(map(str, witness))} fully known")
 
@@ -517,5 +532,71 @@ def verify(view: LocalView) -> Verdict:
     return ACCEPT
 
 
+def verify_all(views: Sequence[LocalView]) -> dict[int, Verdict]:
+    """``{view.self_id: verify(view)}`` for every view, with one step (v).
+
+    When every view passes steps (i)-(iv), all share one partitioning block,
+    and each neighbor certificate a view shows is the very object that
+    neighbor's own view holds (as in views built from one assignment), step
+    (v) runs once on the union of the claims: every vertex's own row and its
+    own pieces rows, each distinct claim once, with the shared partition.
+    If that closure raises nothing and the union map has no fully known
+    induced 5-path, every vertex accepts; otherwise each view is verified on
+    its own.
+
+    Why this is exact:
+
+    - Each vertex that passes step (i) claims its actual row, and each view
+      shows its neighbors' own certificates, so every neighbor-row claim in
+      any view is already in the union, and so are the pieces of u and of
+      its neighbors.  The partition is the same everywhere.  So every view's
+      claim set is a subset of the union's.
+    - ``_closure`` raises exactly when two claims in its set conflict, and a
+      conflict inside a subset is also one in the union.  So a clean union
+      means no vertex raises a ``Contradiction``, and each vertex's map is
+      contained in the union map M.
+    - A fully known induced 5-path in a vertex's map would also be one in M,
+      with the same statuses.  So if M has none, every vertex reaches step
+      (vi).
+
+    Once every own row is folded in, M is the whole graph: the one search is
+    the verifier's own 5-path search run on the actual graph.
+    """
+    if _union_accepts(views):
+        return {view.self_id: ACCEPT for view in views}
+    return {view.self_id: verify(view) for view in views}
+
+
+def _union_accepts(views: Sequence[LocalView]) -> bool:
+    """The batch test of ``verify_all``: steps (i)-(iv) view by view, keeping
+    only the union's claims, then one closure and one 5-path search."""
+    own = {view.self_id: view.self_cert for view in views}
+    claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
+    shared = pidx = None
+    for view in views:
+        if any(own.get(w) is not bw for w, bw in view.neighbors):
+            return False
+        checked = _steps_i_to_iv(view)
+        if isinstance(checked, Verdict):
+            return False
+        u, nbr_mask, dec_u, _, pidx = checked
+        block = (view.n, dec_u.partitioning_part)
+        if shared is None:
+            shared = block
+        elif block != shared:
+            return False
+        claims.setdefault((u, nbr_mask), _OWN)
+        for e in dec_u.pieces_part:
+            claims.setdefault((e.owner, e.row), _PIECES)
+    if pidx is None:
+        return False
+    n = shared[0]
+    try:
+        km = _closure(n, [(x, row, source) for (x, row), source in claims.items()], pidx)
+    except Contradiction:
+        return False
+    return _find_p5_known(km.edge, km.nonedge, n) is None
+
+
 def scheme() -> Scheme:
-    return Scheme("p5", prove, verify)
+    return Scheme("p5", prove, verify, verify_all)

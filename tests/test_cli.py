@@ -1,5 +1,6 @@
 import p5cert as pc
 from p5cert.cli import cli_main
+from p5cert.harness import FAMILIES
 
 
 def run_cli(capsys, *args):
@@ -29,6 +30,19 @@ def test_gen_partition_prove_verify_run(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "run", graph_file, "--certs", cert_file)
     assert code == 0 and "result: ALL-ACCEPT" in out
+
+
+def test_gen_p5free_tag_matches_oracle(tmp_path, capsys):
+    graph_file = str(tmp_path / "g.graph")
+    tags = set()
+    for family in FAMILIES:
+        for seed in range(3):
+            _, out, _ = run_cli(capsys, "gen", "--family", family, "--n", "14", "--p", "0.3", "--seed", str(seed), "--out", graph_file)
+            g = pc.parse_graph(open(graph_file).read())
+            tag = "p5free=yes" if pc.oracle_is_p5_free(g) else "p5free=no"
+            assert tag in out
+            tags.add(tag)
+    assert tags == {"p5free=yes", "p5free=no"}
 
 
 def test_gen_deterministic(tmp_path, capsys):

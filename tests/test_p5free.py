@@ -1,15 +1,30 @@
+import collections
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
-from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, p5free_corpus
-from p5cert.p5free import Contradiction, _closure, _partition_index, _transpose, bag_is_small, ceil_sqrt, scheme
+from p5cert.framework import LocalView, Verdict, format_run_report, local_view
+from p5cert import p5free
+from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, honest_best_effort, p5free_corpus
+from p5cert.p5free import (
+    Contradiction,
+    _closure,
+    _partition_index,
+    _row_claims,
+    _transpose,
+    bag_is_small,
+    ceil_sqrt,
+    full_knowledge_map,
+    scheme,
+    verify,
+)
+from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
 from helpers import (
     naive_transpose,
     random_graph,
@@ -298,13 +313,6 @@ def test_knowledge_soundness_on_corpus_sample(corpus_graphs):
                 assert km.nonedge[x] & g.adj[x] == 0
 
 
-def full_knowledge_map(g):
-    full = g.full_mask
-    edge = [0] + [g.adj[v] for v in g.vertices()]
-    nonedge = [0] + [full & ~g.adj[v] & ~(1 << (v - 1)) for v in g.vertices()]
-    return pc.KnowledgeMap(g.n, tuple(edge), tuple(nonedge))
-
-
 def test_find_known_p5_on_full_maps():
     c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     assert pc.find_known_induced_p5(full_knowledge_map(c5)) is None
@@ -371,6 +379,11 @@ def closure_outcome(closure, view):
         return exc.pair
 
 
+def closure_from_view_parts(u, n, nbr_mask, dec_u, dec_nbrs, pidx):
+    """``_closure`` called as the reference closure is: on one view's parts."""
+    return _closure(n, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
+
+
 def test_closure_matches_reference():
     views = []
     for spec in p5free_corpus()[::4]:
@@ -385,7 +398,7 @@ def test_closure_matches_reference():
     outcomes = {"map": 0, "clash": 0}
     for view in views:
         want = closure_outcome(reference_closure, view)
-        assert closure_outcome(_closure, view) == want
+        assert closure_outcome(closure_from_view_parts, view) == want
         if want is not None:
             outcomes["clash" if isinstance(want, tuple) else "map"] += 1
     assert min(outcomes.values()) > 50, outcomes
@@ -412,9 +425,13 @@ def test_transpose_matches_naive_and_is_an_involution(n):
     assert _transpose(t, n) == rows
 
 
-@pytest.mark.parametrize("family", ["split", "cograph", "p5free-repair"])
-def test_completeness_above_64(family):
-    g = pc.generate(pc.GeneratorSpec(family, 256, 0.5, 1))
+@pytest.mark.parametrize(
+    "family, n",
+    [("split", 256), ("cograph", 256), ("p5free-repair", 256), ("split", 1024)],
+    ids=["split", "cograph", "p5free-repair", "split-1024"],
+)
+def test_completeness_above_64(family, n):
+    g = pc.generate(pc.GeneratorSpec(family, n, 0.5, 1))
     if family == "split":  # a big clique bag: the round-robin pieces route
         assert not all(bag_is_small(bag, g.n) for bag in pc.build_tree_partition(g).bags)
     assert pc.run(g, SCHEME).all_accept
@@ -449,3 +466,155 @@ def test_small_and_big_threshold_agreement():
     assert bag_is_small(Bag(frozenset({1, 2}), CLIQUE), 4)
     assert not bag_is_small(Bag(frozenset({1, 2, 3}), CLIQUE), 4)
     assert bag_is_small(Bag(frozenset({1, 2, 3}), CLIQUE), 9)
+
+
+# --- batched step (v): verify_all against per-view verify --------------------
+
+
+def batch_outcome(views):
+    """verify_all's verdicts and the branch its batch test took: the first of
+    "clean", "union contradiction", "union 5-path", or "fallback" when it
+    went to per-view verification before building the union."""
+    events = []
+    closure, search, per_view = p5free._closure, p5free._find_p5_known, p5free.verify
+
+    def closure_probe(*args):
+        try:
+            return closure(*args)
+        except Contradiction:
+            events.append("union contradiction")
+            raise
+
+    def search_probe(*args):
+        found = search(*args)
+        events.append("clean" if found is None else "union 5-path")
+        return found
+
+    def verify_probe(view):
+        events.append("fallback")
+        return per_view(view)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(p5free, "_closure", closure_probe)
+        mp.setattr(p5free, "_find_p5_known", search_probe)
+        mp.setattr(p5free, "verify", verify_probe)
+        verdicts = p5free.verify_all(views)
+    return verdicts, events[0]
+
+
+def all_views(g, certs):
+    return [local_view(g, certs, v) for v in g.vertices()]
+
+
+def with_extra_foreign_row(g, tp, certs, node, rng):
+    """The first member of big bag ``node`` also carries, in owner order, the
+    row of a vertex outside the bag's subtree with one bit flipped; step (iv)
+    never checks such a row."""
+    subtree = tp.subtree_masks()[node]
+    outside = [v for v in g.vertices() if not subtree >> (v - 1) & 1]
+    x = rng.choice(outside)
+    y = rng.choice([v for v in g.vertices() if v != x])
+    first = tp.bags[node].sorted_members()[0]
+    dec = decode_certificate(certs[first], g.n)
+    own, rest = dec.pieces_part[0], dec.pieces_part[1:]
+    rest = tuple(sorted(rest + (NeighborhoodRow(x, g.adj[x] ^ 1 << (y - 1)),), key=lambda e: e.owner))
+    forged = dict(certs)
+    forged[first] = encode_certificate(replace(dec, pieces_part=(own,) + rest), g.n)
+    return forged
+
+
+def two_cliques_two_blocks(a, n, s1_high, rng):
+    """Disjoint cliques S1 (a vertices) and S2, each side certified under
+    its own block.  S1's block is true (S1 on top, S2 a chain below); S2's
+    block puts S1's vertices in sibling leaves, so its cross-branch non-edge
+    between two S1 vertices clashes at every S2 vertex with the true S1 rows
+    in S2's pieces.  Every view passes steps (i)-(iv)."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    hi = max(ids[:a]) == n
+    if hi != s1_high:  # put vertex n on the asked side
+        j = ids.index(n)
+        k = rng.randrange(a) if s1_high else rng.randrange(a, n)
+        ids[j], ids[k] = ids[k], ids[j]
+    s1, s2 = sorted(ids[:a]), sorted(ids[a:])
+    edges = [(x, y) for side in (s1, s2) for x, y in itertools.combinations(side, 2)]
+    g = pc.build_graph(n, edges)
+    chain = TreePartition(
+        n,
+        RootedTree((None,) + tuple(range(n - a)), tuple((i + 1,) for i in range(n - a)) + ((),)),
+        (Bag(frozenset(s1), CLIQUE),) + tuple(Bag(frozenset({v}), CLIQUE) for v in s2),
+    )
+    star = TreePartition(
+        n,
+        RootedTree((None,) + (0,) * a, (tuple(range(1, a + 1)),) + ((),) * a),
+        (Bag(frozenset(s2), CLIQUE),) + tuple(Bag(frozenset({v}), CLIQUE) for v in s1),
+    )
+    bits_chain, bits_star = pc.encode_partitioning(chain, n), pc.encode_partitioning(star, n)
+    s1_rows = tuple(NeighborhoodRow(v, g.adj[v]) for v in s1)
+    s2_rows = dict(zip(s2, p5free._round_robin(g, tuple(s2), g.full_mask)))
+    certs = {}
+    for v in g.vertices():
+        cert = EncodedCertificate(n, g.adj[v], bits_chain, s1_rows) if v in s1 else (
+            EncodedCertificate(n, g.adj[v], bits_star, s2_rows[v])
+        )
+        certs[v] = encode_certificate(cert, n)
+    return g, certs
+
+
+def with_inconsistent_view(g, certs, rng):
+    """Views of honest certificates, except that vertex u sees its lowest
+    neighbor w through a certificate whose row drops u: not the certificate
+    w's own view holds."""
+    u = rng.randint(1, g.n)
+    w = g.neighbors(u)[0]
+    dec = decode_certificate(certs[w], g.n)
+    lie = encode_certificate(replace(dec, neighbors_part=dec.neighbors_part ^ 1 << (u - 1)), g.n)
+    views = all_views(g, certs)
+    views[u - 1] = LocalView(g.n, u, certs[u], tuple((x, lie if x == w else certs[x]) for x in g.neighbors(u)))
+    return views
+
+
+def test_verify_all_matches_verify():
+    cases = []  # (source, views)
+    for spec in p5free_corpus():
+        g = pc.generate(spec)
+        cases.append(("honest", all_views(g, pc.prove(g))))
+    rng = random.Random(6)
+    p5_graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)]
+    with_p5 = [pc.generate(GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
+    for g in p5_graphs[::40] + with_p5:
+        cases.append(("best effort", all_views(g, honest_best_effort(g, rng))))
+    for i, g in enumerate(p5_graphs[::60] + with_p5):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 2, i)):
+                cases.append((kind, all_views(g, certs)))
+    for family in ("split", "p5free-repair", "cograph"):
+        for n in (24, 32, 48, 64):
+            for seed in range(1, 40):
+                g = pc.generate(GeneratorSpec(family, n, 0.5, seed))
+                tp = pc.build_tree_partition(g)
+                for node in range(1, len(tp.bags)):
+                    if not bag_is_small(tp.bags[node], n):
+                        cases.append(("foreign row", all_views(g, with_extra_foreign_row(g, tp, pc.prove(g), node, rng))))
+    for i in range(24):
+        a, n = rng.choice([(2, 8), (2, 10), (3, 12), (3, 16)])
+        cases.append(("two blocks", all_views(*two_cliques_two_blocks(a, n, i % 2 == 0, rng))))
+    for spec in p5free_corpus():
+        g = pc.generate(spec)
+        cases.append(("inconsistent", with_inconsistent_view(g, pc.prove(g), rng)))
+
+    outcomes = collections.Counter()
+    caught_by_batch_guard = collections.Counter()  # inputs where only a guard keeps the batch exact
+    for source, views in cases:
+        want = {view.self_id: verify(view) for view in views}
+        got, branch = batch_outcome(views)
+        assert got == want, (source, branch)
+        if branch == "fallback":
+            prechecks = [p5free._steps_i_to_iv(view) for view in views]
+            branch = "step (i)-(iv) reject" if any(isinstance(c, Verdict) for c in prechecks) else "views disagree"
+        outcomes[branch] += 1
+        if source in ("two blocks", "inconsistent") and not all(d.accept for d in want.values()):
+            caught_by_batch_guard[source] += 1
+    for branch in ("clean", "union contradiction", "union 5-path", "step (i)-(iv) reject", "views disagree"):
+        assert outcomes[branch] >= 20, outcomes
+    assert min(caught_by_batch_guard[s] for s in ("two blocks", "inconsistent")) >= 20, caught_by_batch_guard
