@@ -361,14 +361,56 @@ def knowledge_closure(view: LocalView, track_provenance: bool = True) -> Knowled
 # --- induced 5-path detection over known pairs ------------------------------
 
 
+def _drop_twins(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> tuple[int, list[int], list[int]]:
+    """(alive, edge, nonedge): the map with twins deleted until none is left.
+
+    x and y are twins when status(x, z) = status(y, z) for every z other
+    than x and y.  Each round deletes every vertex of a twin class but the
+    lowest and clears the deleted vertices' bits in the rows left.  A round
+    finds the twins of one pair kind by equal rows with the vertex's own bit
+    added: (E[x] | x, NE[x]) for an edge, (E[x], NE[x] | x) for a non-edge,
+    (E[x], NE[x]) for an unknown pair.  Equal keys of x and y differ from
+    the rows only at x and y, so the rows agree elsewhere; self bits in E
+    sit at x too, and at worst hide a twin.  The rows must be symmetric, as
+    ``_closure`` returns them.
+    """
+    edge, nonedge = list(edge), list(nonedge)
+    alive = (1 << n) - 1
+    quiet = kind = 0  # rounds in a row without a deletion; pair kind of this round
+    while quiet < 3:
+        lowest: dict[tuple[int, int], int] = {}
+        dead = 0
+        for x in iter_bits(alive):
+            bx = 1 << (x - 1)
+            key = (edge[x] | bx if kind == 0 else edge[x], nonedge[x] | bx if kind == 1 else nonedge[x])
+            if lowest.setdefault(key, x) != x:
+                dead |= bx
+        if dead:
+            keep = ~dead
+            alive &= keep
+            for x in iter_bits(alive):
+                edge[x] &= keep
+                nonedge[x] &= keep
+        quiet = 0 if dead else quiet + 1
+        kind = (kind + 1) % 3
+    return alive, edge, nonedge
+
+
 def _has_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> bool:
     """Whether some induced 5-path a-b-c-d-e has all 10 pair statuses known.
 
-    Centre first: for each known induced P3 b-c-d, a must lie in
+    Twins first (``_drop_twins``), which keeps the answer: an induced 5-path
+    has neither true nor false twins, so a fully known one holds at most one
+    of two twins (were their pair unknown, the path would not be fully
+    known), and swapping a twin for its twin keeps every pair status.  A
+    cograph reduces to one vertex.
+
+    Then centre first: for each known induced P3 b-c-d, a must lie in
     A = E[b] & NE[c] & NE[d], e in B = E[d] & NE[c] & NE[b], and a-e must be
     a known non-edge.
     """
-    for c in range(1, n + 1):
+    alive, edge, nonedge = _drop_twins(edge, nonedge, n)
+    for c in iter_bits(alive):
         e_c, ne_c = edge[c], nonedge[c]
         # b and d need a neighbor that is a known non-neighbor of c
         ends = 0

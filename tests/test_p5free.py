@@ -10,6 +10,7 @@ import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
 from p5cert.framework import LocalView, Verdict, format_run_report, local_view
+from p5cert.graphs import iter_bits
 from p5cert import p5free
 from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, honest_best_effort, p5free_corpus
 from p5cert.p5free import (
@@ -325,17 +326,62 @@ def test_find_known_p5_needs_all_pairs_known():
     assert pc.find_known_induced_p5(km) is None
 
 
+def blow_up(base: pc.KnowledgeMap, rng, perturb=0.0):
+    """``base`` with each vertex a module of 1-3 copies, relabelled at random.
+
+    Inside a module each pair is a random edge, non-edge or unknown; a pair
+    across modules copies the base pair, except that a ``perturb`` share of
+    them take a random status.
+    """
+    origin = [x for x in range(1, base.n + 1) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(origin)
+    n = len(origin)
+    edge, nonedge = [0] * (n + 1), [0] * (n + 1)
+    for x, y in itertools.combinations(range(1, n + 1), 2):
+        ox, oy = origin[x - 1], origin[y - 1]
+        if ox == oy or rng.random() < perturb:
+            status = rng.choice(["edge", "nonedge", "unknown"])
+        else:
+            status = base.status(ox, oy)
+        rows = {"edge": edge, "nonedge": nonedge}.get(status)
+        if rows is not None:
+            rows[x] |= 1 << (y - 1)
+            rows[y] |= 1 << (x - 1)
+    return pc.KnowledgeMap(n, tuple(edge), tuple(nonedge))
+
+
+def full_graph_of(km: pc.KnowledgeMap) -> pc.Graph:
+    return pc.build_graph(km.n, [(x, y) for x in range(1, km.n + 1) for y in iter_bits(km.edge[x] >> x << x)])
+
+
 def test_find_known_p5_matches_naive():
     rng = random.Random(33)
-    for _ in range(120):
-        g = random_graph(rng.randint(5, 8), rng.choice([0.3, 0.5, 0.7]), rng)
-        got = pc.find_known_induced_p5(full_knowledge_map(g))
+    graphs = [random_graph(rng.randint(5, 8), rng.choice([0.3, 0.5, 0.7]), rng) for _ in range(120)]
+    # twin-rich full maps: the generated P5-free families, and blow-ups of
+    # random graphs, with a 5-path or without
+    graphs += [
+        pc.generate(pc.GeneratorSpec(family, n, 0.5, seed))
+        for family in ("cograph", "split", "p5free-repair")
+        for n in (6, 12, 24, 48)
+        for seed in (1, 2, 3)
+    ]
+    graphs += [
+        full_graph_of(blow_up(full_knowledge_map(random_graph(rng.randint(3, 8), 0.5, rng)), rng, 0.02))
+        for _ in range(150)
+    ]
+    outcomes = collections.Counter()
+    for g in graphs:
+        km = full_knowledge_map(g)
+        got = pc.find_known_induced_p5(km)
         want = pc.find_induced_path(g, 5)
         assert (got is None) == (want is None)
         if got is not None:
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert g.has_edge(got[i], got[j]) == (j - i == 1)
+        outcomes["p5" if got else "free"] += 1
+        outcomes["removed"] += g.n - bin(p5free._drop_twins(km.edge, km.nonedge, g.n)[0]).count("1")
+    assert outcomes["p5"] > 50 and outcomes["free"] > 150 and outcomes["removed"] > 1000, outcomes
 
 
 def random_partial_map(n, rng):
@@ -360,6 +406,72 @@ def test_find_known_p5_matches_reference_on_partial_maps():
         assert pc.find_known_induced_p5(km) == want
         found += want is not None
     assert 500 < found < 2500  # both outcomes well represented
+
+
+def test_find_known_p5_matches_reference_on_twin_rich_maps():
+    rng = random.Random(91)
+    outcomes = collections.Counter()
+    for _ in range(2000):
+        km = blow_up(random_partial_map(rng.randint(3, 8), rng), rng, rng.choice([0.0, 0.05]))
+        rows = list(km.edge)
+        for x in rng.sample(range(1, km.n + 1), rng.choice([0, 0, 1, 2])):
+            rows[x] |= 1 << (x - 1)  # a row that lists its owner leaves a self bit in E
+        km = pc.KnowledgeMap(km.n, tuple(rows), km.nonedge)
+        want = reference_find_p5_known(km.edge, km.nonedge, km.n)
+        assert p5free._has_p5_known(km.edge, km.nonedge, km.n) == (want is not None)
+        assert pc.find_known_induced_p5(km) == want
+        alive, edge, nonedge = p5free._drop_twins(km.edge, km.nonedge, km.n)
+        for x in iter_bits(alive):  # the map induced on the vertices left
+            assert (edge[x], nonedge[x]) == (km.edge[x] & alive, km.nonedge[x] & alive)
+        removed = km.n - bin(alive).count("1")
+        outcomes["p5" if want else "free"] += 1
+        outcomes["p5, twins removed"] += bool(want and removed)
+        outcomes["removed"] += removed
+    assert outcomes["free"] > 1000 and outcomes["p5, twins removed"] > 100 and outcomes["removed"] > 3000, outcomes
+
+
+def map_of(n, edges, unknown=(), self_bits=()):
+    """Full map of the graph on 1..n with ``edges``, but for the ``unknown``
+    pairs, with self bits in E at ``self_bits``."""
+    km = full_knowledge_map(pc.build_graph(n, edges))
+    edge, nonedge = list(km.edge), list(km.nonedge)
+    for x, y in unknown:
+        for a, b in ((x, y), (y, x)):
+            edge[a] &= ~(1 << (b - 1))
+            nonedge[a] &= ~(1 << (b - 1))
+    for x in self_bits:
+        edge[x] |= 1 << (x - 1)
+    return tuple(edge), tuple(nonedge)
+
+
+@pytest.mark.parametrize(
+    "extra, unknown, left",
+    [
+        ([(2, 5), (3, 5), (4, 5)], (), {1, 2, 3, 4}),  # 5 is a true twin of 3
+        ([(2, 5), (4, 5)], (), {1, 2, 3, 4}),  # a false twin
+        ([(2, 5), (4, 5)], [(3, 5)], {1, 2, 3, 4}),  # a twin across an unknown pair
+        ([(1, 5), (2, 5), (3, 5), (4, 5)], (), {1, 2, 3, 4, 5}),  # 3 and 5 differ at 1 only
+        ([(2, 5), (4, 5)], [(1, 5)], {1, 2, 3, 4, 5}),  # 1-3 known, 1-5 unknown
+    ],
+    ids=["true-twin", "false-twin", "unknown-twin", "edge-at-z", "unknown-at-z"],
+)
+def test_drop_twins_on_a_4_path_and_one_more_vertex(extra, unknown, left):
+    edge, nonedge = map_of(5, [(1, 2), (2, 3), (3, 4)] + extra, unknown)
+    alive, _, _ = p5free._drop_twins(edge, nonedge, 5)
+    assert set(iter_bits(alive)) == left
+
+
+@pytest.mark.parametrize("x", range(1, 6))
+def test_self_bit_on_a_5_path_removes_nothing(x):
+    edge, nonedge = map_of(5, [(1, 2), (2, 3), (3, 4), (4, 5)], self_bits=[x])
+    assert p5free._drop_twins(edge, nonedge, 5)[0] == 0b11111
+    assert p5free._has_p5_known(edge, nonedge, 5)
+
+
+def test_drop_twins_reduces_a_cograph_to_one_vertex():
+    for n in (2, 9, 48, 128):
+        km = full_knowledge_map(pc.generate(pc.GeneratorSpec("cograph", n, 0.5, 1)))
+        assert p5free._drop_twins(km.edge, km.nonedge, n)[0] == 1
 
 
 def closure_outcome(closure, view):
@@ -427,8 +539,8 @@ def test_transpose_matches_naive_and_is_an_involution(n):
 
 @pytest.mark.parametrize(
     "family, n",
-    [("split", 256), ("cograph", 256), ("p5free-repair", 256), ("split", 1024)],
-    ids=["split", "cograph", "p5free-repair", "split-1024"],
+    [("split", 256), ("cograph", 256), ("p5free-repair", 256), ("split", 1024), ("cograph", 1024)],
+    ids=["split", "cograph", "p5free-repair", "split-1024", "cograph-1024"],
 )
 def test_completeness_above_64(family, n):
     g = pc.generate(pc.GeneratorSpec(family, n, 0.5, 1))
