@@ -130,8 +130,5 @@ class BitReader:
     def read_bits(self, width: int) -> Bits:
         return Bits(self.read(width), width)
 
-    def remaining(self) -> int:
-        return self._bits.length - self.pos
-
     def exhausted(self) -> bool:
         return self.pos == self._bits.length

@@ -10,7 +10,7 @@ vertex of a connected graph and aggregates the verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .bits import Bits
 from .errors import MissingCertificate, ProverFailed
@@ -57,15 +57,15 @@ ACCEPT = Verdict(True)
 class Scheme:
     """A named prover/verifier pair; the verifier must depend on the view only.
 
-    ``batch_verifier``, when given, takes the views of every vertex at once
-    and must return exactly the verdicts the per-view verifier gives them,
-    keyed by vertex id; it exists only to be faster.
+    ``batch_verifier``, when given, takes the graph and a certificate for
+    every vertex and must return exactly
+    ``{v: verifier(local_view(g, certs, v))}``; it exists only to be faster.
     """
 
     name: str
     prover: Callable[[Graph], CertificateAssignment]
     verifier: Callable[[LocalView], Verdict]
-    batch_verifier: Optional[Callable[[Sequence[LocalView]], dict[int, Verdict]]] = None
+    batch_verifier: Optional[Callable[[Graph, CertificateAssignment], dict[int, Verdict]]] = None
 
 
 @dataclass
@@ -96,9 +96,9 @@ def total_cert_bits(certs: CertificateAssignment) -> int:
 def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None) -> RunReport:
     """Prove (unless certificates are supplied) and verify at every vertex.
 
-    The views are built once; the scheme's batch verifier, if it has one,
-    judges them all, otherwise its verifier judges each view.  Both give the
-    same verdicts.
+    The scheme's batch verifier, if it has one, judges the whole assignment;
+    otherwise its verifier judges each vertex's view.  Both give the same
+    verdicts.
     """
     require_connected(g)
     if certs is None:
@@ -106,11 +106,13 @@ def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None)
             certs = scheme.prover(g)
         except Exception as exc:
             raise ProverFailed(f"{scheme.name}: {exc}") from exc
-    views = [local_view(g, certs, v) for v in g.vertices()]
+    for v in g.vertices():
+        if v not in certs:
+            raise MissingCertificate(f"no certificate for vertex {v}")
     if scheme.batch_verifier is None:
-        verdicts = {view.self_id: scheme.verifier(view) for view in views}
+        verdicts = {v: scheme.verifier(local_view(g, certs, v)) for v in g.vertices()}
     else:
-        verdicts = scheme.batch_verifier(views)
+        verdicts = scheme.batch_verifier(g, certs)
     return RunReport(
         verdicts=verdicts,
         all_accept=all(d.accept for d in verdicts.values()),

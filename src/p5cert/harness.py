@@ -33,6 +33,7 @@ STRATEGIES = ("bitflip", "wrong-graph", "lying-partition", "lying-pieces", "gree
 
 _BITFLIP_MAX = 4
 _GREEDY_STEPS = 6
+_RECONNECT_ROUNDS = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +172,7 @@ def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def repair_to_p5_free(g: Graph, rng: random.Random, reconnect_rounds: int = 3) -> Graph:
+def repair_to_p5_free(g: Graph, rng: random.Random) -> Graph:
     """Connected P5-free graph obtained from g by middle-edge deletions.
 
     Deleting 5-path middles tends to fragment sparse graphs, and
@@ -184,7 +185,7 @@ def repair_to_p5_free(g: Graph, rng: random.Random, reconnect_rounds: int = 3) -
     """
     n = g.n
     cur = _delete_middles_until_p5_free(g, rng)
-    for _ in range(reconnect_rounds):
+    for _ in range(_RECONNECT_ROUNDS):
         if is_connected(cur):
             return cur
         cur = _delete_middles_until_p5_free(build_graph(n, _connect_components(n, set(cur.edges()))), rng)

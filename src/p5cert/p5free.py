@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn, Optional, Sequence
+from typing import Mapping, NoReturn, Optional
 
 from .bits import Bits
 from .codec import (
@@ -27,7 +27,7 @@ from .codec import (
     encode_partitioning,
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
-from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
+from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict, local_view
 from .graphs import Graph, iter_bits, require_connected
 from .treepart import CLIQUE, P3, Bag, TreePartition, build_tree_partition
 
@@ -89,7 +89,7 @@ def pieces_for(g: Graph, tp: TreePartition, bag_node: int, member: int) -> list[
     bag = tp.bags[bag_node]
     if member not in bag.members:
         raise ValueError(f"vertex {member} not in bag {bag_node}")
-    if bag.kind != CLIQUE or len(bag.members) <= ceil_sqrt(tp.n):
+    if bag_is_small(bag, tp.n):
         raise ThresholdViolation("round-robin pieces need a clique bag above the size threshold")
     members = bag.sorted_members()
     bundles = _round_robin(g, members, tp.subtree_masks()[bag_node])
@@ -498,6 +498,15 @@ def _steps_i_to_iv(
     if pidx is None:
         return Verdict(False, "ii", "partitioning does not decode to a partition of 1..n")
 
+    return _steps_iii_iv(n, u, nbr_mask, dec_u, dict(dec_nbrs), pidx) or (u, nbr_mask, dec_u, dec_nbrs, pidx)
+
+
+def _steps_iii_iv(
+    n: int, u: int, nbr_mask: int, dec_u: EncodedCertificate, dec_of: Mapping[int, EncodedCertificate], pidx: PartitionIndex
+) -> Optional[Verdict]:
+    """Steps (iii)-(iv) at vertex u with neighbor row ``nbr_mask``: the first
+    failing verdict, or None.  ``dec_of[w]`` is the decoded certificate of
+    neighbor w; it is read only at ids in ``nbr_mask``."""
     # (iii) bag-local structure, ancestor domination, branch separation
     s = pidx.node_of[u]
     bag = pidx.tp.bags[s]
@@ -524,6 +533,7 @@ def _steps_i_to_iv(
         return Verdict(False, "iii", f"neighbor {(stray & -stray).bit_length()} lies in an unrelated branch")
 
     # (iv) pieces consistency
+    bag_nbrs = pidx.members_mask[s] & nbr_mask
     if bag_is_small(bag, n):
         owners = tuple(e.owner for e in dec_u.pieces_part)
         if owners != bag.sorted_members():
@@ -531,12 +541,12 @@ def _steps_i_to_iv(
         own_row = dec_u.pieces_part[owners.index(u)].row
         if own_row != nbr_mask:
             return Verdict(False, "iv", "own row miswritten in pieces")
-        for w, d in dec_nbrs:
-            if w in bag.members and d.pieces_part != dec_u.pieces_part:
+        for w in iter_bits(bag_nbrs):
+            if dec_of[w].pieces_part != dec_u.pieces_part:
                 return Verdict(False, "iv", f"pieces differ from bag member {w}")
     else:
         gs = pidx.subtree_mask[s]
-        accessible = [dec_u] + [d for w, d in dec_nbrs if w in bag.members]
+        accessible = [dec_u] + [dec_of[w] for w in iter_bits(bag_nbrs)]
         coverage = 0
         for d in accessible:
             for e in d.pieces_part:
@@ -544,14 +554,12 @@ def _steps_i_to_iv(
         missing = gs & ~coverage
         if missing:
             return Verdict(False, "iv", f"no visible row for subtree vertex {(missing & -missing).bit_length()}")
-        nbr_certs = dict(dec_nbrs)
         check_mask = nbr_mask & gs
         for d in accessible:
             for e in d.pieces_part:
-                if (check_mask >> (e.owner - 1)) & 1 and e.row != nbr_certs[e.owner].neighbors_part:
+                if (check_mask >> (e.owner - 1)) & 1 and e.row != dec_of[e.owner].neighbors_part:
                     return Verdict(False, "iv", f"pieces row of {e.owner} contradicts its certificate")
-
-    return u, nbr_mask, dec_u, dec_nbrs, pidx
+    return None
 
 
 def verify(view: LocalView) -> Verdict:
@@ -574,25 +582,26 @@ def verify(view: LocalView) -> Verdict:
     return ACCEPT
 
 
-def verify_all(views: Sequence[LocalView]) -> dict[int, Verdict]:
-    """``{view.self_id: verify(view)}`` for every view, with one step (v).
+def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
+    """``{v: verify(local_view(g, certs, v))}`` for every vertex, with each
+    certificate decoded once and one step (v).
 
-    When every view passes steps (i)-(iv), all share one partitioning block,
-    and each neighbor certificate a view shows is the very object that
-    neighbor's own view holds (as in views built from one assignment), step
-    (v) runs once on the union of the claims: every vertex's own row and its
-    own pieces rows, each distinct claim once, with the shared partition.
-    If that closure raises nothing and the union map has no fully known
-    induced 5-path, every vertex accepts; otherwise each view is verified on
-    its own.
+    Steps (i)-(iv) run on the whole assignment, neighbor certificates looked
+    up by id: every certificate decodes, claims its vertex's actual row and
+    holds the one shared block, that block decodes, and every vertex passes
+    steps (iii)-(iv).  Step (v) then runs once on the union of the claims:
+    every vertex's own row and its own pieces rows, each distinct claim
+    once, with the shared partition.  If that closure raises nothing and the
+    union map has no fully known induced 5-path, every vertex accepts;
+    otherwise each view is verified on its own.
 
     Why this is exact:
 
-    - Each vertex that passes step (i) claims its actual row, and each view
-      shows its neighbors' own certificates, so every neighbor-row claim in
-      any view is already in the union, and so are the pieces of u and of
-      its neighbors.  The partition is the same everywhere.  So every view's
-      claim set is a subset of the union's.
+    - Every view shows certificates of ``certs``, so a check that passes
+      for all vertices passes in every view.  Each vertex claims its actual
+      row, so every neighbor-row claim in any view is already in the union,
+      and so are the pieces of u and of its neighbors.  So every view's
+      claim set is a subset of the union's, with the same partition.
     - ``_closure`` raises exactly when two claims in its set conflict, and a
       conflict inside a subset is also one in the union.  So a clean union
       means no vertex raises a ``Contradiction``, and each vertex's map is
@@ -604,35 +613,32 @@ def verify_all(views: Sequence[LocalView]) -> dict[int, Verdict]:
     Once every own row is folded in, M is the whole graph: the one search is
     the verifier's own 5-path search run on the actual graph.
     """
-    if _union_accepts(views):
-        return {view.self_id: ACCEPT for view in views}
-    return {view.self_id: verify(view) for view in views}
+    if _union_accepts(g, certs):
+        return {v: ACCEPT for v in g.vertices()}
+    return {v: verify(local_view(g, certs, v)) for v in g.vertices()}
 
 
-def _union_accepts(views: Sequence[LocalView]) -> bool:
-    """The batch test of ``verify_all``: steps (i)-(iv) view by view, keeping
-    only the union's claims, then one closure and one 5-path search."""
-    own = {view.self_id: view.self_cert for view in views}
-    claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
-    shared = pidx = None
-    for view in views:
-        if any(own.get(w) is not bw for w, bw in view.neighbors):
-            return False
-        checked = _steps_i_to_iv(view)
-        if isinstance(checked, Verdict):
-            return False
-        u, nbr_mask, dec_u, _, pidx = checked
-        block = (view.n, dec_u.partitioning_part)
-        if shared is None:
-            shared = block
-        elif block != shared:
-            return False
-        claims.setdefault((u, nbr_mask), _OWN)
-        for e in dec_u.pieces_part:
-            claims.setdefault((e.owner, e.row), _PIECES)
+def _union_accepts(g: Graph, certs: CertificateAssignment) -> bool:
+    """The batch test of ``verify_all``: steps (i)-(iv) for all vertices,
+    then one closure and one 5-path search over the union's claims."""
+    n = g.n
+    dec = {v: _decode(certs[v], n) for v in g.vertices()}
+    if None in dec.values():
+        return False
+    block = dec[1].partitioning_part
+    # (i) and (ii)
+    if any(d.neighbors_part != g.adj[v] or d.partitioning_part != block for v, d in dec.items()):
+        return False
+    pidx = _partition_index(block, n)
     if pidx is None:
         return False
-    n = shared[0]
+    claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
+    for v in g.vertices():
+        if _steps_iii_iv(n, v, g.adj[v], dec[v], dec, pidx) is not None:
+            return False
+        claims.setdefault((v, g.adj[v]), _OWN)
+        for e in dec[v].pieces_part:
+            claims.setdefault((e.owner, e.row), _PIECES)
     try:
         km = _closure(n, [(x, row, source) for (x, row), source in claims.items()], pidx)
     except Contradiction:

@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import NoDominatingStructure
 from .graphs import (
     Graph,
+    as_induced_p3,
     component_masks,
     is_clique,
     is_dominating,
@@ -187,15 +188,7 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
         return Bag(frozenset(found), CLIQUE)
     found = _first_dominating_triple(adj, comp, order, False)
     if found is not None:
-        x, y, z = found
-        # the centre is z if x and y are apart, x if it sees both, else y
-        if not (adj[x] >> (y - 1)) & 1:
-            order = (x, z, y)
-        elif (adj[x] >> (z - 1)) & 1:
-            order = (y, x, z)
-        else:
-            order = (x, y, z)
-        return Bag(frozenset(found), P3, order)
+        return Bag(frozenset(found), P3, as_induced_p3(g, found))
 
     # maximal cliques, Bron-Kerbosch with pivot, iterative
     found = _first_dominating_maximal_clique(g, comp)

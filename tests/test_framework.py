@@ -2,6 +2,7 @@ import pytest
 
 import p5cert as pc
 from p5cert.bits import Bits
+from p5cert.cli import get_scheme
 from p5cert.errors import DisconnectedInput, MissingCertificate, ProverFailed
 from p5cert.framework import format_run_report, local_view, total_cert_bits
 from p5cert.p5free import scheme
@@ -103,3 +104,14 @@ def test_report_format(p5_graph):
     c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     text = format_run_report(pc.run(c5, SCHEME))
     assert text.strip().splitlines()[-1] == "result: ALL-ACCEPT"
+
+
+@pytest.mark.parametrize("name", ["p5", "kk:3"])
+def test_run_missing_certificate(name):
+    # p5 has a batch verifier, kk:3 verifies view by view: both refuse
+    c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    sch = get_scheme(name)
+    certs = sch.prover(c5)
+    del certs[4]
+    with pytest.raises(MissingCertificate):
+        pc.run(c5, sch, certs)

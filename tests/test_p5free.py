@@ -9,7 +9,7 @@ import pytest
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
-from p5cert.framework import LocalView, Verdict, format_run_report, local_view
+from p5cert.framework import Verdict, format_run_report, local_view
 from p5cert.graphs import iter_bits
 from p5cert import p5free
 from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, honest_best_effort, p5free_corpus
@@ -583,7 +583,7 @@ def test_small_and_big_threshold_agreement():
 # --- batched step (v): verify_all against per-view verify --------------------
 
 
-def batch_outcome(views):
+def batch_outcome(g, certs):
     """verify_all's verdicts and the branch its batch test took: the first of
     "clean", "union contradiction", "union 5-path", or "fallback" when it
     went to per-view verification before building the union."""
@@ -610,12 +610,8 @@ def batch_outcome(views):
         mp.setattr(p5free, "_closure", closure_probe)
         mp.setattr(p5free, "_find_p5_known", search_probe)
         mp.setattr(p5free, "verify", verify_probe)
-        verdicts = p5free.verify_all(views)
+        verdicts = p5free.verify_all(g, certs)
     return verdicts, events[0]
-
-
-def all_views(g, certs):
-    return [local_view(g, certs, v) for v in g.vertices()]
 
 
 def with_extra_foreign_row(g, tp, certs, node, rng):
@@ -633,6 +629,42 @@ def with_extra_foreign_row(g, tp, certs, node, rng):
     forged = dict(certs)
     forged[first] = encode_certificate(replace(dec, pieces_part=(own,) + rest), g.n)
     return forged
+
+
+LOCAL_LIES = ("self bit", "dropped row", "other block")
+
+
+def with_local_lie(g, tp, certs, kind, rng):
+    """Honest certificates with one lie that only steps (i)-(iv) can see:
+    the union of every vertex's own row and pieces rows stays free of
+    contradictions.  None when ``g`` offers no place for it.
+
+    - "self bit": a vertex u outside every big bag's subtree claims itself
+      as a neighbor.  A self bit clashes with no row, and no step (iv)
+      compares u's pieces row with its claimed row.
+    - "dropped row": one vertex leaves out a pieces row that is not its own.
+    - "other block": one vertex other than 1 flips a bit of its
+      partitioning block."""
+    dec = {v: decode_certificate(b, g.n) for v, b in certs.items()}
+    if kind == "self bit":
+        subtrees = [m for m, bag in zip(tp.subtree_masks(), tp.bags) if not bag_is_small(bag, g.n)]
+        places = [v for v in g.vertices() if not any(m >> (v - 1) & 1 for m in subtrees)]
+        if not places:
+            return None
+        u = rng.choice(places)
+        forged = replace(dec[u], neighbors_part=dec[u].neighbors_part | 1 << (u - 1))
+    elif kind == "dropped row":
+        places = [v for v in g.vertices() if len(dec[v].pieces_part) > 1]
+        if not places:
+            return None
+        u = rng.choice(places)
+        drop = rng.choice([e for e in dec[u].pieces_part if e.owner != u])
+        forged = replace(dec[u], pieces_part=tuple(e for e in dec[u].pieces_part if e != drop))
+    else:
+        u = rng.randint(2, g.n)
+        part = dec[u].partitioning_part
+        forged = replace(dec[u], partitioning_part=part.flip(rng.randrange(part.length)))
+    return {**certs, u: encode_certificate(forged, g.n)}
 
 
 def two_cliques_two_blocks(a, n, s1_high, rng):
@@ -673,33 +705,20 @@ def two_cliques_two_blocks(a, n, s1_high, rng):
     return g, certs
 
 
-def with_inconsistent_view(g, certs, rng):
-    """Views of honest certificates, except that vertex u sees its lowest
-    neighbor w through a certificate whose row drops u: not the certificate
-    w's own view holds."""
-    u = rng.randint(1, g.n)
-    w = g.neighbors(u)[0]
-    dec = decode_certificate(certs[w], g.n)
-    lie = encode_certificate(replace(dec, neighbors_part=dec.neighbors_part ^ 1 << (u - 1)), g.n)
-    views = all_views(g, certs)
-    views[u - 1] = LocalView(g.n, u, certs[u], tuple((x, lie if x == w else certs[x]) for x in g.neighbors(u)))
-    return views
-
-
 def test_verify_all_matches_verify():
-    cases = []  # (source, views)
+    cases = []  # (source, graph, certificates)
     for spec in p5free_corpus():
         g = pc.generate(spec)
-        cases.append(("honest", all_views(g, pc.prove(g))))
+        cases.append(("honest", g, pc.prove(g)))
     rng = random.Random(6)
     p5_graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)]
     with_p5 = [pc.generate(GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
     for g in p5_graphs[::40] + with_p5:
-        cases.append(("best effort", all_views(g, honest_best_effort(g, rng))))
+        cases.append(("best effort", g, honest_best_effort(g, rng)))
     for i, g in enumerate(p5_graphs[::60] + with_p5):
         for kind in STRATEGIES:
             for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 2, i)):
-                cases.append((kind, all_views(g, certs)))
+                cases.append((kind, g, certs))
     for family in ("split", "p5free-repair", "cograph"):
         for n in (24, 32, 48, 64):
             for seed in range(1, 40):
@@ -707,26 +726,32 @@ def test_verify_all_matches_verify():
                 tp = pc.build_tree_partition(g)
                 for node in range(1, len(tp.bags)):
                     if not bag_is_small(tp.bags[node], n):
-                        cases.append(("foreign row", all_views(g, with_extra_foreign_row(g, tp, pc.prove(g), node, rng))))
+                        cases.append(("foreign row", g, with_extra_foreign_row(g, tp, pc.prove(g), node, rng)))
     for i in range(24):
         a, n = rng.choice([(2, 8), (2, 10), (3, 12), (3, 16)])
-        cases.append(("two blocks", all_views(*two_cliques_two_blocks(a, n, i % 2 == 0, rng))))
+        cases.append(("two blocks", *two_cliques_two_blocks(a, n, i % 2 == 0, rng)))
     for spec in p5free_corpus():
         g = pc.generate(spec)
-        cases.append(("inconsistent", with_inconsistent_view(g, pc.prove(g), rng)))
+        tp, certs = pc.build_tree_partition(g), pc.prove(g)
+        for kind in LOCAL_LIES:
+            for _ in range(2):
+                forged = with_local_lie(g, tp, certs, kind, rng)
+                if forged is not None:
+                    cases.append((kind, g, forged))
 
     outcomes = collections.Counter()
-    caught_by_batch_guard = collections.Counter()  # inputs where only a guard keeps the batch exact
-    for source, views in cases:
-        want = {view.self_id: verify(view) for view in views}
-        got, branch = batch_outcome(views)
+    # inputs where only a batch check of steps (i)-(iv) keeps the batch exact
+    caught_by_batch_guard = collections.Counter()
+    for source, g, certs in cases:
+        want = {v: verify(local_view(g, certs, v)) for v in g.vertices()}
+        got, branch = batch_outcome(g, certs)
         assert got == want, (source, branch)
         if branch == "fallback":
-            prechecks = [p5free._steps_i_to_iv(view) for view in views]
-            branch = "step (i)-(iv) reject" if any(isinstance(c, Verdict) for c in prechecks) else "views disagree"
+            prechecks = [p5free._steps_i_to_iv(local_view(g, certs, v)) for v in g.vertices()]
+            branch = "step (i)-(iv) reject" if any(isinstance(c, Verdict) for c in prechecks) else "blocks differ"
         outcomes[branch] += 1
-        if source in ("two blocks", "inconsistent") and not all(d.accept for d in want.values()):
+        if source in ("two blocks",) + LOCAL_LIES and not all(d.accept for d in want.values()):
             caught_by_batch_guard[source] += 1
-    for branch in ("clean", "union contradiction", "union 5-path", "step (i)-(iv) reject", "views disagree"):
+    for branch in ("clean", "union contradiction", "union 5-path", "step (i)-(iv) reject", "blocks differ"):
         assert outcomes[branch] >= 20, outcomes
-    assert min(caught_by_batch_guard[s] for s in ("two blocks", "inconsistent")) >= 20, caught_by_batch_guard
+    assert min(caught_by_batch_guard[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, caught_by_batch_guard
