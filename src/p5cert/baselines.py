@@ -187,7 +187,7 @@ def kk_freeness_scheme(k: int) -> Scheme:
         def extends_to_clique(cands: int, need: int) -> bool:
             if need == 0:
                 return True
-            if bin(cands).count("1") < need:
+            if cands.bit_count() < need:
                 return False
             for v in iter_bits(cands):
                 vb = 1 << (v - 1)

@@ -54,7 +54,7 @@ class Graph:
         return tuple(iter_bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     @property
     def full_mask(self) -> int:
@@ -98,22 +98,32 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 
 
 def component_masks(g: Graph, within: int) -> list[int]:
-    """Connected components of the subgraph induced by ``within``, as masks."""
+    """Connected components of the subgraph induced by ``within``, as masks.
+
+    Components come in ascending order of their lowest vertex.  A search
+    stops as soon as it has reached every vertex not yet placed, without
+    expanding the rest of its frontier.
+    """
+    adj = g.adj
     out = []
     todo = within
     while todo:
         seed = todo & -todo
         comp = seed
         frontier = seed
-        while frontier:
+        left = todo ^ seed
+        while frontier and left:
             grow = 0
             for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            grow &= within & ~comp
+                grow |= adj[v]
+                if not left & ~grow:
+                    break
+            grow &= left
             comp |= grow
+            left ^= grow
             frontier = grow
         out.append(comp)
-        todo &= ~comp
+        todo = left
     return out
 
 

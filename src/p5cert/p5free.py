@@ -28,7 +28,7 @@ from .codec import (
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict, local_view
-from .graphs import Graph, iter_bits, require_connected
+from .graphs import Graph, iter_bits
 from .treepart import CLIQUE, P3, Bag, TreePartition, build_tree_partition
 
 
@@ -59,7 +59,6 @@ class Contradiction(P5CertError):
 
 def prove(g: Graph) -> CertificateAssignment:
     """Honest certificates; succeeds on every connected P5-free graph."""
-    require_connected(g)
     tp = build_tree_partition(g)
     part_bits = encode_partitioning(tp, g.n)
     subtree = tp.subtree_masks()
@@ -207,7 +206,7 @@ class KnowledgeMap:
         return "unknown"
 
     def known_pair_count(self) -> int:
-        return sum(bin(self.edge[x] | self.nonedge[x]).count("1") for x in range(1, self.n + 1)) // 2
+        return sum((self.edge[x] | self.nonedge[x]).bit_count() for x in range(1, self.n + 1)) // 2
 
 
 _OWN = "own-adjacency"

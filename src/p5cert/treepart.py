@@ -146,40 +146,40 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
     lexicographically, induced P3s lexicographically (by sorted triple),
     then maximal cliques by pivoting enumeration, first dominating one wins.
 
-    Every stage after the singletons is anchored on coverage instead of
-    scanning pairs.  A set S dominates ``comp`` exactly when S meets N[w]
-    for every w in ``comp``; so once the lowest member x is fixed, the
-    other members must cover rest_x = comp - N[x], one of them lies in
-    N[w] for any chosen w in rest_x, and the last one lies in N[r] for
-    every r that the others leave uncovered.  Each restriction only drops
-    candidates that cannot dominate, so every stage returns the same
-    lexicographically first structure as a scan over all pairs.
+    Every stage is anchored on coverage instead of scanning pairs.  A set
+    S dominates ``comp`` exactly when S meets N[w] for every w in
+    ``comp``; so once the lowest member x is fixed, the other members must
+    cover rest_x = comp - N[x], one of them lies in N[w] for any chosen w
+    in rest_x, and the last one lies in N[r] for every r that the others
+    leave uncovered.  Each restriction only drops candidates that cannot
+    dominate, so every stage returns the same lexicographically first
+    structure as a scan over all pairs.
+
+    The singleton and edge stages find their last member by witness
+    narrowing (``_first_cover``): test the lowest candidate c, and if it
+    misses some vertex r, keep only the candidates in N[r].  This is
+    exact, since every answer lies in N[r]; c itself does not, so each
+    candidate is tested at most once.  It takes no more rounds than
+    testing every candidate in turn, or narrowing by every uncovered
+    vertex in turn: the lowest candidate rises every round and no
+    witness r is used twice.
     """
     adj = g.adj
 
     # singletons
-    m = comp
-    while m:
-        low = m & -m
-        if comp & ~(adj[low.bit_length()] | low) == 0:
-            return Bag(frozenset([low.bit_length()]), CLIQUE)
-        m ^= low
+    v = _first_cover(adj, comp, comp)
+    if v:
+        return Bag(frozenset([v]), CLIQUE)
 
-    # edges {x < y}: y lies in N[r] for every r of rest_x, which is never
-    # empty here because no singleton dominates
+    # edges {x < y}: y covers rest_x = comp - N[x]
     m = comp
     while m:
         xb = m & -m
         m ^= xb
         x = xb.bit_length()
-        cands = adj[x] & m
-        rest = comp & ~(adj[x] | xb)
-        while rest and cands:
-            low = rest & -rest
-            cands &= adj[low.bit_length()] | low
-            rest ^= low
-        if cands:
-            return Bag(frozenset([x, (cands & -cands).bit_length()]), CLIQUE)
+        y = _first_cover(adj, adj[x] & m, comp & ~(adj[x] | xb))
+        if y:
+            return Bag(frozenset([x, y]), CLIQUE)
 
     # the anchors of the triples, fewest neighbours in comp first
     order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
@@ -195,6 +195,19 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
     if found is not None:
         return Bag(set_of(found), CLIQUE)
     return None
+
+
+def _first_cover(adj: tuple[int, ...], cands: int, left: int) -> int:
+    """Lowest vertex c of ``cands`` with ``left`` inside N[c], or 0."""
+    while cands:
+        cb = cands & -cands
+        miss = left & ~(adj[cb.bit_length()] | cb)
+        if not miss:
+            return cb.bit_length()
+        # every answer lies in N[r]; the tested c does not
+        rb = miss & -miss
+        cands &= adj[rb.bit_length()] | rb
+    return 0
 
 
 def _first_dominating_triple(
@@ -233,6 +246,9 @@ def _first_dominating_triple(
             else:
                 cands = pool & ax & ab
             left = rest & ~(ab | bb)
+            # witness narrowing (_first_cover) was tried here and was
+            # slower (split n=512 seed 2, CPython 3.11: 0.094 -> 0.149 s): the
+            # stage's cost is the walk over second members b, not this loop
             while left and cands:
                 low = left & -left
                 cands &= adj[low.bit_length()] | low
@@ -253,7 +269,7 @@ def _first_dominating_maximal_clique(g: Graph, comp: int) -> Optional[int]:
     def pivot(p: int, x: int) -> int:
         best, best_cnt = 0, -1
         for v in iter_bits(p | x):
-            cnt = bin(adj[v] & p).count("1")
+            cnt = (adj[v] & p).bit_count()
             if cnt > best_cnt:
                 best, best_cnt = v, cnt
         return best

@@ -55,6 +55,28 @@ def naive_dominating_structure(g: Graph, comp: int):
     return None  # maximal-clique stage not reimplemented here
 
 
+def reference_component_masks(g: Graph, within: int) -> list[int]:
+    """The breadth-first search that expands every frontier to the end; oracle."""
+    from p5cert.graphs import iter_bits
+
+    out = []
+    todo = within
+    while todo:
+        seed = todo & -todo
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            for v in iter_bits(frontier):
+                grow |= g.adj[v]
+            grow &= within & ~comp
+            comp |= grow
+            frontier = grow
+        out.append(comp)
+        todo &= ~comp
+    return out
+
+
 def reference_dominating_structure(g: Graph, comp: int):
     """The pairwise staged scan used before coverage anchoring; oracle for every stage.
 

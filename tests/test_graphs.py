@@ -10,7 +10,8 @@ from p5cert.errors import (
     OutOfRangeVertex,
     SubsetViolation,
 )
-from helpers import naive_find_induced_path, random_graph
+from p5cert.graphs import component_masks, iter_bits
+from helpers import naive_find_induced_path, random_graph, reference_component_masks
 
 
 def test_build_p5():
@@ -72,6 +73,39 @@ def test_components_partition_and_are_edgeless_between(p5_graph):
             for b in comps:
                 if a is not b:
                     assert not any(g.has_edge(u, v) for u in a for v in b)
+
+
+def _stops_inside_a_frontier(g, within):
+    """True if the last component's search reaches every vertex left to place
+    with a proper prefix (ascending) of one of its frontiers."""
+    last = reference_component_masks(g, within)[-1]
+    seed = last & -last
+    reached, frontier = seed, seed
+    while last & ~reached:
+        grow = 0
+        members = list(iter_bits(frontier))
+        for i, v in enumerate(members):
+            grow |= g.adj[v]
+            if last & ~(reached | grow) == 0 and i < len(members) - 1:
+                return True
+        frontier = grow & last & ~reached
+        reached |= frontier
+    return False
+
+
+def test_component_masks_matches_reference():
+    rng = random.Random(12)
+    several = early = 0
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 300), rng.choice([0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9]), rng)
+        for _ in range(6):
+            keep = rng.choice([1.0, 0.9, 0.5, 0.2, 0.05])
+            within = sum(1 << i for i in range(g.n) if rng.random() < keep)
+            got = component_masks(g, within)
+            assert got == reference_component_masks(g, within), (g.adj, within)
+            several += len(got) > 1
+            early += bool(within) and _stops_inside_a_frontier(g, within)
+    assert several >= 200 and early >= 200, (several, early)
 
 
 def test_is_clique(p5_graph):

@@ -304,6 +304,15 @@ def test_golden_digest_prove_certificates(corpus_graphs):
     assert h.hexdigest() == "94d81bbb6ae714bc57be9d4d1bf617c28dbf1e6a669b4b4546d704338c8468cb"
 
 
+def test_golden_digest_prove_certificates_cograph_1024():
+    # certificate bytes at the headline size, where most bags are singletons
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        g = pc.generate(GeneratorSpec("cograph", 1024, 0.5, seed))
+        h.update(pc.write_certificates(pc.prove(g)).encode())
+    assert h.hexdigest() == "416595f6ea5c9818fbd40aa82aa2b2437d26cffef1e5ed9d3ebbdce70025d14d"
+
+
 def test_knowledge_soundness_on_corpus_sample(corpus_graphs):
     for _, g in corpus_graphs[:6]:
         certs = pc.prove(g)

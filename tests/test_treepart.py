@@ -95,7 +95,7 @@ def test_dominating_structure_matches_reference_on_random_submasks():
             got = find_dominating_structure_in(g, comp)
             assert got == reference_dominating_structure(g, comp), (g.adj, comp)
             seen[_outcome(got)] += 1
-    for outcome in ("edge", "triangle", "p3", "maximal clique", "none"):
+    for outcome in ("singleton", "edge", "triangle", "p3", "maximal clique", "none"):
         assert seen[outcome] >= 150, seen
 
 
@@ -117,6 +117,32 @@ def test_dominating_structure_matches_reference_on_build_steps():
                         stack.extend(component_masks(g, comp & ~got.mask))
     for outcome in ("edge", "triangle", "p3", "maximal clique", "none"):
         assert seen[outcome] >= 10, seen
+
+
+def test_dominating_structure_matches_reference_on_large_build_steps():
+    # components large enough that witness narrowing takes several rounds
+    seen = Counter()
+    for family, n in (("cograph", 256), ("split", 128)):
+        for seed in (1, 2, 3):
+            g = pc.generate(GeneratorSpec(family, n, 0.5, seed))
+            stack = [g.full_mask]
+            while stack:
+                comp = stack.pop()
+                got = find_dominating_structure_in(g, comp)
+                assert got == reference_dominating_structure(g, comp), (family, n, seed, comp)
+                seen[_outcome(got)] += 1
+                stack.extend(component_masks(g, comp & ~got.mask))
+    for outcome in ("singleton", "edge", "triangle"):
+        assert seen[outcome] >= 40, seen
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_dominating_structure_cocktail_party(k):
+    # K_{2 x k}: 2i-1 and 2i are the only non-adjacent pairs, so every
+    # vertex misses its partner and no singleton dominates
+    n = 2 * k
+    g = build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u + 1) // 2 != (v + 1) // 2])
+    assert pc.find_dominating_structure(g) == Bag(frozenset({1, 3}), CLIQUE)
 
 
 def test_build_k5_is_singleton_chain():
