@@ -466,40 +466,6 @@ def full_knowledge_map(g: Graph) -> KnowledgeMap:
 # --- verifier ---------------------------------------------------------------
 
 
-def _steps_i_to_iv(
-    view: LocalView,
-) -> Verdict | tuple[int, int, EncodedCertificate, list[tuple[int, EncodedCertificate]], PartitionIndex]:
-    """Decoding and steps (i)-(iv) at one view: the first failing verdict, or
-    (u, nbr_mask, dec_u, dec_nbrs, pidx) for step (v)."""
-    n = view.n
-    u = view.self_id
-
-    dec_u = _decode(view.self_cert, n)
-    if dec_u is None:
-        return Verdict(False, "malformed", "own certificate undecodable")
-    dec_nbrs: list[tuple[int, EncodedCertificate]] = []
-    for w, bw in view.neighbors:
-        d = _decode(bw, n)
-        if d is None:
-            return Verdict(False, "malformed", f"certificate of neighbor {w} undecodable")
-        dec_nbrs.append((w, d))
-    nbr_mask = view.neighbor_ids_mask()
-
-    # (i) own neighbor list
-    if dec_u.neighbors_part != nbr_mask:
-        return Verdict(False, "i", "claimed neighbor row differs from actual neighbors")
-
-    # (ii) shared, well-formed partitioning
-    for w, d in dec_nbrs:
-        if d.partitioning_part != dec_u.partitioning_part:
-            return Verdict(False, "ii", f"partitioning differs from neighbor {w}")
-    pidx = _partition_index(dec_u.partitioning_part, n)
-    if pidx is None:
-        return Verdict(False, "ii", "partitioning does not decode to a partition of 1..n")
-
-    return _steps_iii_iv(n, u, nbr_mask, dec_u, dict(dec_nbrs), pidx) or (u, nbr_mask, dec_u, dec_nbrs, pidx)
-
-
 def _steps_iii_iv(
     n: int, u: int, nbr_mask: int, dec_u: EncodedCertificate, dec_of: Mapping[int, EncodedCertificate], pidx: PartitionIndex
 ) -> Optional[Verdict]:
@@ -563,17 +529,43 @@ def _steps_iii_iv(
 
 def verify(view: LocalView) -> Verdict:
     """Local verification; returns the first failing step or accept."""
-    checked = _steps_i_to_iv(view)
-    if isinstance(checked, Verdict):
-        return checked
-    u, nbr_mask, dec_u, dec_nbrs, pidx = checked
+    n = view.n
+    u = view.self_id
+
+    dec_u = _decode(view.self_cert, n)
+    if dec_u is None:
+        return Verdict(False, "malformed", "own certificate undecodable")
+    dec_nbrs: list[tuple[int, EncodedCertificate]] = []
+    for w, bw in view.neighbors:
+        d = _decode(bw, n)
+        if d is None:
+            return Verdict(False, "malformed", f"certificate of neighbor {w} undecodable")
+        dec_nbrs.append((w, d))
+    nbr_mask = view.neighbor_ids_mask()
+
+    # (i) own neighbor list
+    if dec_u.neighbors_part != nbr_mask:
+        return Verdict(False, "i", "claimed neighbor row differs from actual neighbors")
+
+    # (ii) shared, well-formed partitioning
+    for w, d in dec_nbrs:
+        if d.partitioning_part != dec_u.partitioning_part:
+            return Verdict(False, "ii", f"partitioning differs from neighbor {w}")
+    pidx = _partition_index(dec_u.partitioning_part, n)
+    if pidx is None:
+        return Verdict(False, "ii", "partitioning does not decode to a partition of 1..n")
+
+    # (iii)-(iv)
+    rejected = _steps_iii_iv(n, u, nbr_mask, dec_u, dict(dec_nbrs), pidx)
+    if rejected is not None:
+        return rejected
 
     # (v) assemble knowledge, look for a fully-known induced 5-path
     try:
-        km = _closure(view.n, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
+        km = _closure(n, _row_claims(u, nbr_mask, dec_u, dec_nbrs), pidx)
     except Contradiction as exc:
         return Verdict(False, "v", f"contradictory knowledge about pair {exc.pair}")
-    witness = _find_p5_known(km.edge, km.nonedge, view.n)
+    witness = _find_p5_known(km.edge, km.nonedge, n)
     if witness is not None:
         return Verdict(False, "v", f"induced 5-path {'-'.join(map(str, witness))} fully known")
 
@@ -582,44 +574,40 @@ def verify(view: LocalView) -> Verdict:
 
 
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
-    """``{v: verify(local_view(g, certs, v))}`` for every vertex, with each
-    certificate decoded once and one step (v).
+    """``{v: verify(local_view(g, certs, v))}`` for every vertex; when all
+    accept, each certificate is decoded once and no knowledge closure runs.
 
-    Steps (i)-(iv) run on the whole assignment, neighbor certificates looked
-    up by id: every certificate decodes, claims its vertex's actual row and
-    holds the one shared block, that block decodes, and every vertex passes
-    steps (iii)-(iv).  Step (v) then runs once on the union of the claims:
-    every vertex's own row and its own pieces rows, each distinct claim
-    once, with the shared partition.  If that closure raises nothing and the
-    union map has no fully known induced 5-path, every vertex accepts;
-    otherwise each view is verified on its own.
+    The batch test (``_batch_accepts``): every certificate decodes, claims
+    its vertex's actual row and holds the one shared block, and that block
+    decodes (steps (i)-(ii)); every vertex passes steps (iii)-(iv), neighbor
+    certificates looked up by id; every pieces row in the assignment is its
+    owner's actual row; and the verifier's own 5-path search finds no path
+    in the full map of ``g``.  Then every vertex accepts; otherwise each
+    view is verified on its own.
 
-    Why this is exact:
+    Why this is exact: once the first three checks pass, every statement
+    any view folds in step (v) is true of ``g``.
 
-    - Every view shows certificates of ``certs``, so a check that passes
-      for all vertices passes in every view.  Each vertex claims its actual
-      row, so every neighbor-row claim in any view is already in the union,
-      and so are the pieces of u and of its neighbors.  So every view's
-      claim set is a subset of the union's, with the same partition.
-    - ``_closure`` raises exactly when two claims in its set conflict, and a
-      conflict inside a subset is also one in the union.  So a clean union
-      means no vertex raises a ``Contradiction``, and each vertex's map is
-      contained in the union map M.
-    - A fully known induced 5-path in a vertex's map would also be one in M,
-      with the same statuses.  So if M has none, every vertex reaches step
-      (vi).
+    - Its own row and each neighbor's row are actual rows, by step (i) at
+      the vertex and at the neighbor.  Every pieces row it sees is an actual
+      row, by the pieces-row check; step (iv) alone only covers the pieces
+      rows whose owner lies in the holder's subtree.
+    - The partition-implied pairs are true, by step (iii) at every vertex:
+      clique bags are cliques, every P3 bag vertex has its role, and no
+      vertex has a neighbor in another branch.
 
-    Once every own row is folded in, M is the whole graph: the one search is
-    the verifier's own 5-path search run on the actual graph.
+    Two true statements never disagree, so no view's closure raises, and
+    every view's map lies inside the map of ``g``.  A fully known induced
+    5-path in a view's map would be an induced 5-path of ``g``; the search
+    on ``g`` finds none, so every vertex reaches step (vi).
     """
-    if _union_accepts(g, certs):
+    if _batch_accepts(g, certs):
         return {v: ACCEPT for v in g.vertices()}
     return {v: verify(local_view(g, certs, v)) for v in g.vertices()}
 
 
-def _union_accepts(g: Graph, certs: CertificateAssignment) -> bool:
-    """The batch test of ``verify_all``: steps (i)-(iv) for all vertices,
-    then one closure and one 5-path search over the union's claims."""
+def _batch_accepts(g: Graph, certs: CertificateAssignment) -> bool:
+    """The batch test of ``verify_all``."""
     n = g.n
     dec = {v: _decode(certs[v], n) for v in g.vertices()}
     if None in dec.values():
@@ -629,20 +617,12 @@ def _union_accepts(g: Graph, certs: CertificateAssignment) -> bool:
     if any(d.neighbors_part != g.adj[v] or d.partitioning_part != block for v, d in dec.items()):
         return False
     pidx = _partition_index(block, n)
-    if pidx is None:
-        return False
-    claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
-    for v in g.vertices():
-        if _steps_iii_iv(n, v, g.adj[v], dec[v], dec, pidx) is not None:
-            return False
-        claims.setdefault((v, g.adj[v]), _OWN)
-        for e in dec[v].pieces_part:
-            claims.setdefault((e.owner, e.row), _PIECES)
-    try:
-        km = _closure(n, [(x, row, source) for (x, row), source in claims.items()], pidx)
-    except Contradiction:
-        return False
-    return _find_p5_known(km.edge, km.nonedge, n) is None
+    return (
+        pidx is not None
+        and all(_steps_iii_iv(n, v, g.adj[v], d, dec, pidx) is None for v, d in dec.items())
+        and all(e.row == g.adj[e.owner] for d in dec.values() for e in d.pieces_part)
+        and find_known_induced_p5(full_knowledge_map(g)) is None
+    )
 
 
 def scheme() -> Scheme:

@@ -20,7 +20,6 @@ from .graphs import (
     as_induced_p3,
     component_masks,
     is_clique,
-    is_dominating,
     iter_bits,
     mask_of,
     require_connected,
@@ -373,14 +372,14 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
             if not (g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c)):
                 return Violation("1", f"bag order {a}-{b}-{c} is not an induced P3", node)
     for node in order:
-        members = tp.bags[node].members
-        if not is_dominating(g, members, set_of(subtree[node])):
-            missing = next(
-                v
-                for v in iter_bits(subtree[node])
-                if v not in members and not (g.adj[v] & mask_of(members))
-            )
-            return Violation("2", f"vertex {missing} not dominated by bag {sorted(members)}", node)
+        bag = tp.bags[node]
+        covered = bag.mask
+        for m in bag.members:
+            covered |= g.adj[m]
+        missing = subtree[node] & ~covered
+        if missing:
+            v = (missing & -missing).bit_length()
+            return Violation("2", f"vertex {v} not dominated by bag {sorted(bag.members)}", node)
     for node in order:
         rest = subtree[node] & ~tp.bags[node].mask
         comps = sorted(component_masks(g, rest))

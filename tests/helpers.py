@@ -382,3 +382,35 @@ def reference_cross_nonedge(tp: TreePartition):
         for v in iter_bits(members_mask[i]):
             cross_nonedge[v] |= other
     return tuple(cross_nonedge)
+
+
+def reference_union_accepts(g: Graph, certs) -> bool:
+    """The batch test ``verify_all`` first used: steps (i)-(iv) for all
+    vertices, then one closure and one 5-path search over the union's
+    claims (every vertex's own row and own pieces rows); oracle."""
+    from p5cert import p5free
+    from p5cert.p5free import _OWN, _PIECES, Contradiction, _decode, _partition_index, _steps_iii_iv
+
+    n = g.n
+    dec = {v: _decode(certs[v], n) for v in g.vertices()}
+    if None in dec.values():
+        return False
+    block = dec[1].partitioning_part
+    # (i) and (ii)
+    if any(d.neighbors_part != g.adj[v] or d.partitioning_part != block for v, d in dec.items()):
+        return False
+    pidx = _partition_index(block, n)
+    if pidx is None:
+        return False
+    claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
+    for v in g.vertices():
+        if _steps_iii_iv(n, v, g.adj[v], dec[v], dec, pidx) is not None:
+            return False
+        claims.setdefault((v, g.adj[v]), _OWN)
+        for e in dec[v].pieces_part:
+            claims.setdefault((e.owner, e.row), _PIECES)
+    try:
+        km = p5free._closure(n, [(x, row, source) for (x, row), source in claims.items()], pidx)
+    except Contradiction:
+        return False
+    return p5free._find_p5_known(km.edge, km.nonedge, n) is None

@@ -32,6 +32,7 @@ from helpers import (
     reference_closure,
     reference_cross_nonedge,
     reference_find_p5_known,
+    reference_union_accepts,
 )
 
 SCHEME = scheme()
@@ -593,22 +594,16 @@ def test_small_and_big_threshold_agreement():
 
 
 def batch_outcome(g, certs):
-    """verify_all's verdicts and the branch its batch test took: the first of
-    "clean", "union contradiction", "union 5-path", or "fallback" when it
-    went to per-view verification before building the union."""
+    """verify_all's verdicts and the branch its batch test took: "clean" or
+    "5-path in g" when it reached the search on ``g``, else "step (i)-(iv)
+    reject" when some view rejects at one of those steps, "blocks differ"
+    when the vertices hold more than one block, and "false pieces row"."""
     events = []
-    closure, search, per_view = p5free._closure, p5free._find_p5_known, p5free.verify
-
-    def closure_probe(*args):
-        try:
-            return closure(*args)
-        except Contradiction:
-            events.append("union contradiction")
-            raise
+    search, per_view = p5free._find_p5_known, p5free.verify
 
     def search_probe(*args):
         found = search(*args)
-        events.append("clean" if found is None else "union 5-path")
+        events.append("clean" if found is None else "5-path in g")
         return found
 
     def verify_probe(view):
@@ -616,11 +611,39 @@ def batch_outcome(g, certs):
         return per_view(view)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(p5free, "_closure", closure_probe)
         mp.setattr(p5free, "_find_p5_known", search_probe)
         mp.setattr(p5free, "verify", verify_probe)
         verdicts = p5free.verify_all(g, certs)
-    return verdicts, events[0]
+    if not events:
+        return verdicts, "accept without search"
+    if events[0] != "fallback":
+        return verdicts, events[0]
+    if any(d.step in ("malformed", "i", "ii", "iii", "iv") for d in verdicts.values()):
+        return verdicts, "step (i)-(iv) reject"
+    dec = [decode_certificate(b, g.n) for b in certs.values()]
+    if len({d.partitioning_part for d in dec}) > 1:
+        return verdicts, "blocks differ"
+    assert any(e.row != g.adj[e.owner] for d in dec for e in d.pieces_part)
+    return verdicts, "false pieces row"
+
+
+def reference_outcome(g, certs):
+    """``reference_union_accepts``'s decision, and whether its union closure
+    raised."""
+    raised = []
+    closure = p5free._closure
+
+    def closure_probe(*args):
+        try:
+            return closure(*args)
+        except Contradiction:
+            raised.append(True)
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(p5free, "_closure", closure_probe)
+        accepts = reference_union_accepts(g, certs)
+    return accepts, bool(raised)
 
 
 def with_extra_foreign_row(g, tp, certs, node, rng):
@@ -751,16 +774,21 @@ def test_verify_all_matches_verify():
     outcomes = collections.Counter()
     # inputs where only a batch check of steps (i)-(iv) keeps the batch exact
     caught_by_batch_guard = collections.Counter()
+    union_raised = 0
     for source, g, certs in cases:
         want = {v: verify(local_view(g, certs, v)) for v in g.vertices()}
         got, branch = batch_outcome(g, certs)
         assert got == want, (source, branch)
-        if branch == "fallback":
-            prechecks = [p5free._steps_i_to_iv(local_view(g, certs, v)) for v in g.vertices()]
-            branch = "step (i)-(iv) reject" if any(isinstance(c, Verdict) for c in prechecks) else "blocks differ"
+        # the union closure this batch test replaces makes the same decision
+        ref_accepts, ref_raised = reference_outcome(g, certs)
+        assert ref_accepts == (branch == "clean"), (source, branch)
+        union_raised += ref_raised
+        if source == "foreign row":
+            assert branch == "false pieces row", branch
         outcomes[branch] += 1
         if source in ("two blocks",) + LOCAL_LIES and not all(d.accept for d in want.values()):
             caught_by_batch_guard[source] += 1
-    for branch in ("clean", "union contradiction", "union 5-path", "step (i)-(iv) reject", "blocks differ"):
+    for branch in ("clean", "false pieces row", "5-path in g", "step (i)-(iv) reject", "blocks differ"):
         assert outcomes[branch] >= 20, outcomes
+    assert union_raised >= 20, union_raised
     assert min(caught_by_batch_guard[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, caught_by_batch_guard

@@ -13,6 +13,7 @@ from p5cert.treepart import (
     Bag,
     RootedTree,
     TreePartition,
+    Violation,
     find_dominating_structure_in,
     format_tree_partition,
 )
@@ -210,7 +211,7 @@ def test_validate_condition_order_and_witnesses():
     tree2 = RootedTree((None, 0), ((1,), ()))
     tp2 = TreePartition(4, tree2, (Bag(frozenset({1}), CLIQUE), Bag(frozenset({2, 3, 4}), P3, (2, 3, 4))))
     violation2 = pc.validate_tree_partition(c4, tp2)
-    assert violation2.condition == "2" and violation2.node == 0
+    assert violation2 == Violation("2", "vertex 3 not dominated by bag [1]", 0)
 
     # component split failure: two leaf children but one remainder component
     path = pc.build_graph(3, [(1, 2), (2, 3)])
