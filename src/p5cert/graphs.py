@@ -173,40 +173,59 @@ def is_dominating(g: Graph, s: Iterable[int], within: Iterable[int]) -> bool:
     return wmask & ~covered == 0
 
 
-def find_induced_path(g: Graph, k: int) -> Optional[tuple[int, ...]]:
-    """First induced path on k vertices in DFS order, or None.
+def find_induced_path(g: Graph) -> Optional[tuple[int, int, int, int, int]]:
+    """First induced 5-path (a, b, c, d, e) in lexicographic order, or None.
 
-    Ground-truth oracle for P_k-freeness.  The search extends paths in
-    ascending id order; vertices adjacent to a non-tip path vertex are
-    pruned with a forbidden mask, so every emitted path is induced.
+    Ground-truth oracle for P5-freeness.  a runs ascending, b over N(a),
+    c over N(b) \\ N[a], d over N(c), and e is the lowest vertex of
+    N(d) \\ (N[a] | N(b) | N(c)), so every emitted path is induced.  Both d
+    and e lie in rest = V \\ (N[a] | N(b)); so, once per (a, b), d is
+    narrowed to the vertices of rest that are adjacent to some c and have a
+    neighbor in rest.  The filter is exact, and an empty one skips b.
     """
-    if k < 1:
-        raise OutOfRangeVertex("path length must be >= 1")
-    if k == 1:
-        return (1,) if g.n >= 1 else None
-    if k > g.n:
-        return None
-
     adj = g.adj
-    path = []
-
-    def extend(tip: int, banned: int) -> Optional[tuple[int, ...]]:
-        if len(path) == k:
-            return tuple(path)
-        cand = adj[tip] & ~banned
-        for w in iter_bits(cand):
-            path.append(w)
-            got = extend(w, banned | adj[tip])
-            if got:
-                return got
-            path.pop()
-        return None
-
-    for v in g.vertices():
-        path[:] = [v]
-        got = extend(v, 1 << (v - 1))
-        if got:
-            return got
+    full = g.full_mask
+    # bit loops are inlined: on 6-vertex graphs an iter_bits generator per
+    # (a, b) doubles the cost of the search
+    for a in range(1, g.n + 1):
+        closed_a = adj[a] | 1 << (a - 1)
+        bs = adj[a]
+        while bs:
+            b_bit = bs & -bs
+            bs ^= b_bit
+            b = b_bit.bit_length()
+            cs = adj[b] & ~closed_a
+            if not cs:
+                continue
+            block = closed_a | adj[b]
+            rest = full & ~block
+            reach = 0
+            m = cs
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length()]
+                m ^= low
+            ds = 0
+            m = reach & rest
+            while m:
+                low = m & -m
+                if adj[low.bit_length()] & rest:
+                    ds |= low
+                m ^= low
+            if not ds:
+                continue
+            while cs:
+                c_bit = cs & -cs
+                cs ^= c_bit
+                c = c_bit.bit_length()
+                d_mask = adj[c] & ds
+                while d_mask:
+                    d_bit = d_mask & -d_mask
+                    d_mask ^= d_bit
+                    d = d_bit.bit_length()
+                    es = adj[d] & ~(block | adj[c])
+                    if es:
+                        return (a, b, c, d, (es & -es).bit_length())
     return None
 
 

@@ -150,18 +150,17 @@ def _delete_middles_until_p5_free(cur: Graph, rng: random.Random) -> Graph:
     still be disconnected.
     """
     while True:
-        path = find_induced_path(cur, 5)
+        path = find_induced_path(cur)
         if path is None:
             return cur
         mids = [(path[1], path[2]), (path[2], path[3])]
         rng.shuffle(mids)
-        mids = [(min(e), max(e)) for e in mids]
-        pick = mids[0]
-        for e in mids:
-            if is_connected(_without_edge(cur, e)):
-                pick = e
-                break
-        cur = _without_edge(cur, pick)
+        first = _without_edge(cur, mids[0])
+        if is_connected(first):
+            cur = first
+        else:
+            second = _without_edge(cur, mids[1])
+            cur = second if is_connected(second) else first
 
 
 def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -220,13 +219,13 @@ def generate(spec: GeneratorSpec) -> Graph:
         if not is_connected(build_graph(n, edges)):
             edges = _connect_components(n, edges)
         g = build_graph(n, edges)
-        if find_induced_path(g, 5) is not None:
+        if find_induced_path(g) is not None:
             return g
     raise GenerationBudgetExceeded(f"no graph with an induced 5-path found for n={n}, p={p}")
 
 
 def oracle_is_p5_free(g: Graph) -> bool:
-    return find_induced_path(g, 5) is None
+    return find_induced_path(g) is None
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -307,7 +306,7 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     kind = strategy.kind
     sch = p5_scheme()
     # per-stream work that no trial changes
-    path = find_induced_path(g, 5) if kind == "wrong-graph" else None
+    path = find_induced_path(g) if kind == "wrong-graph" else None
     decoded = {v: decode_certificate(base[v], n) for v in g.vertices()} if kind == "lying-partition" else {}
 
     for _ in range(strategy.trials):
@@ -380,7 +379,7 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
 
 def fuzz_soundness(g: Graph, strategy: AdversaryStrategy) -> FuzzReport:
     """Run every generated assignment; an all-accept trial is a counterexample."""
-    if find_induced_path(g, 5) is None:
+    if find_induced_path(g) is None:
         raise PreconditionNotP5("soundness fuzzing needs a graph with an induced 5-path")
     sch = p5_scheme()
     report = FuzzReport(

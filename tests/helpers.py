@@ -3,8 +3,46 @@
 import itertools
 import random
 
-from p5cert.graphs import Graph, as_induced_p3, is_clique, mask_of, set_of
+from p5cert.errors import OutOfRangeVertex
+from p5cert.graphs import Graph, as_induced_p3, is_clique, iter_bits, mask_of, set_of
 from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
+
+
+def reference_find_induced_path(g: Graph, k: int):
+    """First induced path on k vertices in DFS order, or None.
+
+    Ground-truth oracle for P_k-freeness.  The search extends paths in
+    ascending id order; vertices adjacent to a non-tip path vertex are
+    pruned with a forbidden mask, so every emitted path is induced.
+    """
+    if k < 1:
+        raise OutOfRangeVertex("path length must be >= 1")
+    if k == 1:
+        return (1,) if g.n >= 1 else None
+    if k > g.n:
+        return None
+
+    adj = g.adj
+    path = []
+
+    def extend(tip: int, banned: int):
+        if len(path) == k:
+            return tuple(path)
+        cand = adj[tip] & ~banned
+        for w in iter_bits(cand):
+            path.append(w)
+            got = extend(w, banned | adj[tip])
+            if got:
+                return got
+            path.pop()
+        return None
+
+    for v in g.vertices():
+        path[:] = [v]
+        got = extend(v, 1 << (v - 1))
+        if got:
+            return got
+    return None
 
 
 def naive_find_induced_path(g: Graph, k: int):
@@ -57,7 +95,6 @@ def naive_dominating_structure(g: Graph, comp: int):
 
 def reference_component_masks(g: Graph, within: int) -> list[int]:
     """The breadth-first search that expands every frontier to the end; oracle."""
-    from p5cert.graphs import iter_bits
 
     out = []
     todo = within
@@ -86,7 +123,6 @@ def reference_dominating_structure(g: Graph, comp: int):
     Coverage pruning below only skips candidates that provably cannot
     dominate, so the returned structure is the same as for the naive scan.
     """
-    from p5cert.graphs import iter_bits
 
     adj = g.adj
     cn = {v: (adj[v] & comp) | (1 << (v - 1)) for v in iter_bits(comp)}
@@ -164,7 +200,6 @@ def _reference_maximal_clique(g: Graph, comp: int):
     so that the maximal-clique outcomes are checked against code the
     search does not share.
     """
-    from p5cert.graphs import iter_bits
 
     adj = g.adj
 
@@ -281,7 +316,6 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 def reference_find_p5_known(edge, nonedge, n):
     """The a, b, c, d extension search that step (v) first used; witness oracle."""
-    from p5cert.graphs import iter_bits
 
     for a in range(1, n + 1):
         ne_a = nonedge[a]
@@ -300,7 +334,6 @@ def reference_closure(u, n, nbr_mask, dec_u, dec_nbrs, pidx):
 
     Raises ``Contradiction`` at the pair the per-bit loop first meets.
     """
-    from p5cert.graphs import iter_bits
     from p5cert.p5free import KnowledgeMap, _clash, _row_claims
 
     full = (1 << n) - 1
@@ -349,7 +382,6 @@ def reference_cross_nonedge(tp: TreePartition):
     The node-ancestor and node-descendant bitmasks with a loop over the
     incomparable nodes, as the partition index first built them.
     """
-    from p5cert.graphs import iter_bits
 
     tree = tp.tree
     t = tree.node_count

@@ -75,7 +75,7 @@ def test_criterion_2_exhaustive_completeness(connected_graphs):
     checked = 0
     for n in range(1, 7):
         for g in connected_graphs[n]:
-            if pc.find_induced_path(g, 5) is not None:
+            if pc.find_induced_path(g) is not None:
                 continue
             report_ = pc.run(g, SCHEME)
             assert report_.all_accept, (n, g.adj)
@@ -91,7 +91,7 @@ def test_criterion_3_exhaustive_soundness_fuzz(connected_graphs):
     trials = 0
     for n in (5, 6):
         for index, g in enumerate(connected_graphs[n]):
-            if pc.find_induced_path(g, 5) is None:
+            if pc.find_induced_path(g) is None:
                 continue
             graphs += 1
             for kind in STRATEGIES:
@@ -144,7 +144,7 @@ def test_criterion_6_oracle_equivalence():
     rng = random.Random(606)
     for _ in range(1000):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]), rng)
-        fast = pc.find_induced_path(g, 5)
+        fast = pc.find_induced_path(g)
         naive = naive_find_induced_path(g, 5)
         assert (fast is None) == (naive is None)
         if fast is not None:

@@ -10,8 +10,14 @@ from p5cert.errors import (
     OutOfRangeVertex,
     SubsetViolation,
 )
+from p5cert import harness
 from p5cert.graphs import component_masks, iter_bits
-from helpers import naive_find_induced_path, random_graph, reference_component_masks
+from helpers import (
+    naive_find_induced_path,
+    random_graph,
+    reference_component_masks,
+    reference_find_induced_path,
+)
 
 
 def test_build_p5():
@@ -146,11 +152,11 @@ def test_is_dominating(p5_graph):
 
 
 def test_find_induced_path_examples(p5_graph):
-    assert pc.find_induced_path(p5_graph, 5) == (1, 2, 3, 4, 5)
+    assert pc.find_induced_path(p5_graph) == (1, 2, 3, 4, 5)
     c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    assert pc.find_induced_path(c5, 5) is None
+    assert pc.find_induced_path(c5) is None
     c6 = pc.build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
-    witness = pc.find_induced_path(c6, 5)
+    witness = pc.find_induced_path(c6)
     assert witness is not None and len(witness) == 5
     for i in range(5):
         for j in range(i + 1, 5):
@@ -161,9 +167,66 @@ def test_find_induced_path_matches_naive_small():
     rng = random.Random(6)
     for _ in range(150):
         g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.6]), rng)
-        fast = pc.find_induced_path(g, 5)
+        fast = pc.find_induced_path(g)
         naive = naive_find_induced_path(g, 5)
         assert (fast is None) == (naive is None)
+
+
+def _d_filter_outcomes(g):
+    """Recount with sets, over the (a, b) that have some c: how often the
+    filter on d leaves nothing, and how often it drops a d with no neighbor
+    in rest."""
+    nbr = {v: set(g.neighbors(v)) for v in g.vertices()}
+    skipped = narrowed = 0
+    for a in g.vertices():
+        closed_a = nbr[a] | {a}
+        for b in nbr[a]:
+            cs = nbr[b] - closed_a
+            if not cs:
+                continue
+            rest = set(g.vertices()) - closed_a - nbr[b]
+            reach = set().union(*(nbr[c] for c in cs)) & rest
+            ds = {d for d in reach if nbr[d] & rest}
+            skipped += not ds
+            narrowed += ds != reach
+    return skipped, narrowed
+
+
+def test_find_induced_path_matches_reference_small(connected_graphs):
+    # the first path, tuple for tuple, against the recursive DFS
+    graphs = [g for n in range(1, 7) for g in connected_graphs[n]]
+    rng = random.Random(11)
+    random_graphs = [random_graph(rng.randint(1, 16), rng.uniform(0.01, 0.99), rng) for _ in range(3000)]
+    late_start = 0
+    for g in graphs + random_graphs:
+        path = pc.find_induced_path(g)
+        assert path == reference_find_induced_path(g, 5), g.adj
+        late_start += path is not None and path[0] > 1
+    outcomes = [_d_filter_outcomes(g) for g in random_graphs]
+    skipped = sum(o[0] for o in outcomes)
+    narrowed = sum(o[1] for o in outcomes)
+    assert late_start > 2000 and skipped > 30000 and narrowed > 15000, (late_start, skipped, narrowed)
+
+
+def test_find_induced_path_matches_reference_large(monkeypatch):
+    # every intermediate graph of one p5free-repair run, then larger P5-free ones
+    seen = []
+
+    def checked(g):
+        path = pc.find_induced_path(g)
+        assert path == reference_find_induced_path(g, 5)
+        seen.append(path)
+        return path
+
+    monkeypatch.setattr(harness, "find_induced_path", checked)
+    pc.generate(pc.GeneratorSpec("p5free-repair", 64, 0.5, 1))
+    assert len(seen) > 500 and seen[-1] is None, len(seen)
+    assert sum(p is not None and p[0] > 1 for p in seen) > 40
+    for family in ("split", "cograph"):
+        for seed in (1, 2):
+            g = pc.generate(pc.GeneratorSpec(family, 128, 0.5, seed))
+            assert pc.find_induced_path(g) is None
+            assert reference_find_induced_path(g, 5) is None
 
 
 def test_graph_file_round_trip(p5_graph):

@@ -17,6 +17,7 @@ from p5cert.harness import (
     repair_to_p5_free,
 )
 from p5cert.p5free import scheme
+from helpers import reference_find_induced_path
 
 SCHEME = scheme()
 
@@ -40,7 +41,7 @@ def test_generators_connected():
 def test_cograph_family_has_no_p4():
     for seed in range(4):
         g = pc.generate(pc.GeneratorSpec("cograph", 20, 0.5, seed))
-        assert pc.find_induced_path(g, 4) is None
+        assert reference_find_induced_path(g, 4) is None
 
 
 def test_split_family_p5_free():
@@ -54,7 +55,7 @@ def test_split_family_p5_free():
 def test_with_p5_family_contains_p5():
     for seed in range(3):
         g = pc.generate(pc.GeneratorSpec("with-p5", 10, 0.3, seed))
-        assert pc.find_induced_path(g, 5) is not None
+        assert pc.find_induced_path(g) is not None
 
 
 def test_with_p5_impossible_below_five_vertices():
@@ -233,3 +234,33 @@ def test_honest_best_effort_on_non_p5_free(p5_graph):
     seven_path = pc.build_graph(7, [(i, i + 1) for i in range(1, 7)])
     certs7 = honest_best_effort(seven_path, random.Random(0))
     assert set(certs7) == set(range(1, 8))
+
+
+@pytest.mark.parametrize(
+    "family,n,p,seed,digest",
+    [
+        ("with-p5", 24, 0.3, 1, "89b12c2d484f54766bf4804a5d269e327336eb0bedda1de7159e7afb6bc6ae3f"),
+        ("with-p5", 24, 0.3, 2, "ff72201e5a64bd9b7367e352e17dbbe0cc238fd9cb7075c81cf519d8b2e3233d"),
+        ("with-p5", 24, 0.3, 3, "4e5067952097dcbdaef152d3ee9e0a47c7bfdaecac7124c9dbe340e08fcb84d7"),
+        ("p5free-repair", 48, 0.5, 1, "30381f84628b4233cbb8143bab3d1a411e9d62a7ab3b945288574b576c4bf60d"),
+        ("p5free-repair", 48, 0.5, 2, "61da4a46e87d646441e3367fd2fa7895edd6cff76d137fb8bb539f18da2acf8f"),
+        ("p5free-repair", 256, 0.5, 1, "8ba9f6d2aa41d06c2e8851895ed5879550024973ffb40c0c2edc4ae84ee793f2"),
+    ],
+)
+def test_golden_digest_generators(family, n, p, seed, digest):
+    # the oracle decides every with-p5 resample and every p5free-repair deletion
+    g = pc.generate(pc.GeneratorSpec(family, n, p, seed))
+    assert hashlib.sha256(pc.write_graph(g).encode()).hexdigest() == digest
+
+
+def test_golden_digest_six_vertex_p5_graphs():
+    # index and first path of every connected 6-vertex graph with an induced P5
+    h = hashlib.sha256()
+    count = 0
+    for i, g in enumerate(pc.enumerate_connected_graphs(6)):
+        path = pc.find_induced_path(g)
+        if path is not None:
+            h.update(f"{i} {path}\n".encode())
+            count += 1
+    assert count == 7440
+    assert h.hexdigest() == "8a298c70d217e1c1cbb5e792496d666fd4f7de9fb6bf667590a4df0dab372b41"

@@ -383,7 +383,7 @@ def test_find_known_p5_matches_naive():
     for g in graphs:
         km = full_knowledge_map(g)
         got = pc.find_known_induced_p5(km)
-        want = pc.find_induced_path(g, 5)
+        want = pc.find_induced_path(g)
         assert (got is None) == (want is None)
         if got is not None:
             for i in range(5):

@@ -166,7 +166,7 @@ def test_build_p5(p5_graph):
     assert [sorted(tp.bags[i].members) for i in (1, 2)] == [[1], [5]]
     assert tp.tree.children[0] == (1, 2)
     # the builder succeeds here although the graph is not P5-free
-    assert pc.find_induced_path(p5_graph, 5) is not None
+    assert pc.find_induced_path(p5_graph) is not None
 
 
 def test_build_deterministic(corpus_graphs):
