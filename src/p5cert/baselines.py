@@ -33,22 +33,30 @@ def universal_scheme(property_oracle: Callable[[Graph], bool]) -> Scheme:
         return {v: matrix for v in g.vertices()}
 
     @lru_cache(maxsize=1024)
+    def checked_rows(matrix: Bits, n: int) -> tuple[Verdict | None, tuple[int, ...]]:
+        """The matrix's rows (index 0 unused) and its first loop or asymmetric
+        pair as a rejecting verdict, or None; read once per matrix."""
+        rows = (0,) + tuple(matrix.field(i * n, n) for i in range(n))
+        for v in range(1, n + 1):
+            if rows[v] >> (v - 1) & 1:
+                return Verdict(False, "malformed", f"matrix has a loop at {v}"), rows
+            for u in iter_bits(rows[v]):
+                if not rows[u] >> (v - 1) & 1:
+                    return Verdict(False, "malformed", f"matrix asymmetric at {u},{v}"), rows
+        return None, rows
+
+    @lru_cache(maxsize=1024)
     def oracle_on_matrix(matrix: Bits, n: int) -> bool:
-        rows = [0] + [matrix.field(i * n, n) for i in range(n)]
-        return property_oracle(Graph(n, tuple(rows)))
+        return property_oracle(Graph(n, checked_rows(matrix, n)[1]))
 
     def verifier(view: LocalView) -> Verdict:
         n = view.n
         matrix = view.self_cert
         if matrix.length != n * n:
             return Verdict(False, "malformed", f"matrix certificate must be {n * n} bits")
-        rows = [0] + [matrix.field(i * n, n) for i in range(n)]
-        for v in range(1, n + 1):
-            if rows[v] >> (v - 1) & 1:
-                return Verdict(False, "malformed", f"matrix has a loop at {v}")
-            for u in iter_bits(rows[v]):
-                if not rows[u] >> (v - 1) & 1:
-                    return Verdict(False, "malformed", f"matrix asymmetric at {u},{v}")
+        malformed, rows = checked_rows(matrix, n)
+        if malformed is not None:
+            return malformed
         if rows[view.self_id] != view.neighbor_ids_mask():
             return Verdict(False, "i", "own matrix row differs from actual neighbors")
         for w, cert in view.neighbors:

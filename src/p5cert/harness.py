@@ -9,9 +9,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .codec import (
+    EncodedCertificate,
     decode_certificate,
     encode_certificate,
     encode_partitioning,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .framework import CertificateAssignment, Scheme, local_view, max_cert_bits
 from .graphs import Graph, build_graph, component_masks, find_induced_path, is_connected, iter_bits
-from .p5free import prove, scheme as p5_scheme
+from .p5free import _decode, prove, scheme as p5_scheme, verdict_at
 from .treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
 
 FAMILIES = ("cograph", "split", "p5free-repair", "with-p5", "gnp")
@@ -289,25 +290,50 @@ def has_rejection(g: Graph, scheme: Scheme, certs: CertificateAssignment) -> boo
     return any(not scheme.verifier(local_view(g, certs, v)).accept for v in g.vertices())
 
 
-def rejecting_mask(g: Graph, scheme: Scheme, certs: CertificateAssignment, within: int) -> int:
-    """Mask of the vertices in ``within`` whose verifier rejects."""
+def rejecting_mask(g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]], within: int) -> int:
+    """Mask of the vertices in ``within`` where the P5 verifier rejects;
+    ``dec_of`` maps each vertex to its decoded certificate, None where it
+    does not decode."""
     mask = 0
     for v in iter_bits(within):
-        if not scheme.verifier(local_view(g, certs, v)).accept:
+        if not verdict_at(g.n, v, g.adj[v], dec_of).accept:
             mask |= 1 << (v - 1)
     return mask
 
 
+def _flip_bit(g: Graph, certs: CertificateAssignment, dec: dict, rej: int, v: int, pos: int) -> int:
+    """Flip bit ``pos`` of v's certificate in ``certs`` and its decode table
+    ``dec``; return the rejection mask ``rej`` updated for the flip.  Only
+    the views of v and its neighbors change, so only they are verified."""
+    certs[v] = certs[v].flip(pos)
+    dec[v] = _decode(certs[v], g.n)
+    closed = g.adj[v] | 1 << (v - 1)
+    return rej & ~closed | rejecting_mask(g, dec, closed)
+
+
 def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[CertificateAssignment]:
-    """Stream of ``strategy.trials`` assignments; deterministic per seed."""
+    """Stream of ``strategy.trials`` assignments; deterministic per seed.
+
+    Work each stream does once, not per trial: the honest base assignment;
+    for wrong-graph, the induced 5-path of ``g`` and one ``prove`` per
+    distinct modified graph (its certificates or its ``P5CertError``, so a
+    repeated failure goes straight to the rng-driven repair, as
+    ``honest_best_effort`` would); for lying-partition, the decoded base;
+    for greedy-search, the base's decode table and rejection mask, so a
+    trial verifies only the closed neighborhood of each flipped vertex and
+    decodes only the flipped certificate.
+    """
     rng = _derived_rng("adversary", strategy.kind, strategy.seed, g.n, g.adj)
     n = g.n
     base = honest_best_effort(g, rng)
     kind = strategy.kind
-    sch = p5_scheme()
     # per-stream work that no trial changes
     path = find_induced_path(g) if kind == "wrong-graph" else None
+    proofs: dict[tuple[int, ...], CertificateAssignment | P5CertError] = {}
     decoded = {v: decode_certificate(base[v], n) for v in g.vertices()} if kind == "lying-partition" else {}
+    if kind == "greedy-search":
+        base_dec = {v: _decode(b, n) for v, b in base.items()}
+        base_rej = rejecting_mask(g, base_dec, g.full_mask)
 
     for _ in range(strategy.trials):
         if kind == "bitflip":
@@ -336,7 +362,15 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
             modified = build_graph(n, edges)
             if not is_connected(modified):
                 modified = build_graph(n, _connect_components(n, set(modified.edges())))
-            yield honest_best_effort(modified, rng)
+            proved = proofs.get(modified.adj)
+            if proved is None:
+                try:
+                    proved = prove(modified)
+                except P5CertError as exc:
+                    proved = exc
+                proofs[modified.adj] = proved
+            # prove draws no randomness, so this is honest_best_effort(modified, rng)
+            yield prove(repair_to_p5_free(modified, rng)) if isinstance(proved, P5CertError) else dict(proved)
         elif kind == "lying-partition":
             false_bits = encode_partitioning(_random_false_partition(n, rng), n)
             yield {v: encode_certificate(replace(d, partitioning_part=false_bits), n) for v, d in decoded.items()}
@@ -359,21 +393,18 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                 cur[v] = encode_certificate(replace(dec, pieces_part=tuple(pieces)), n)
             yield cur
         else:  # greedy-search: hill-climb bit flips to minimize rejections
-            cur = dict(base)
-            v = rng.randint(1, n)
-            cur[v] = cur[v].flip(rng.randrange(cur[v].length))
-            cur_rej = rejecting_mask(g, sch, cur, g.full_mask)
-            for _ in range(_GREEDY_STEPS):
-                if not cur_rej:
+            cur, dec, cur_rej = dict(base), dict(base_dec), base_rej
+            for step in range(_GREEDY_STEPS + 1):
+                if step and not cur_rej:
                     break
-                cand = dict(cur)
                 v = rng.randint(1, n)
-                cand[v] = cand[v].flip(rng.randrange(cand[v].length))
-                # a flip at v changes only the views of v and its neighbors
-                closed = g.adj[v] | 1 << (v - 1)
-                cand_rej = cur_rej & ~closed | rejecting_mask(g, sch, cand, closed)
-                if cand_rej.bit_count() <= cur_rej.bit_count():
-                    cur, cur_rej = cand, cand_rej
+                old = cur[v], dec[v]
+                cand_rej = _flip_bit(g, cur, dec, cur_rej, v, rng.randrange(cur[v].length))
+                # the first flip is always kept
+                if not step or cand_rej.bit_count() <= cur_rej.bit_count():
+                    cur_rej = cand_rej
+                else:
+                    cur[v], dec[v] = old
             yield cur
 
 

@@ -27,7 +27,7 @@ from .codec import (
     encode_partitioning,
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
-from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict, local_view
+from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
 from .graphs import Graph, iter_bits
 from .treepart import CLIQUE, P3, Bag, TreePartition, build_tree_partition
 
@@ -527,21 +527,20 @@ def _steps_iii_iv(
     return None
 
 
-def verify(view: LocalView) -> Verdict:
-    """Local verification; returns the first failing step or accept."""
-    n = view.n
-    u = view.self_id
-
-    dec_u = _decode(view.self_cert, n)
+def verdict_at(n: int, u: int, nbr_mask: int, dec_of: Mapping[int, Optional[EncodedCertificate]]) -> Verdict:
+    """The verdict of vertex u with neighbor row ``nbr_mask``: the first
+    failing step, or accept.  ``dec_of[w]`` is the decoded certificate of
+    vertex w, None when it does not decode; it is read only at u and at ids
+    in ``nbr_mask``."""
+    dec_u = dec_of[u]
     if dec_u is None:
         return Verdict(False, "malformed", "own certificate undecodable")
     dec_nbrs: list[tuple[int, EncodedCertificate]] = []
-    for w, bw in view.neighbors:
-        d = _decode(bw, n)
+    for w in iter_bits(nbr_mask):
+        d = dec_of[w]
         if d is None:
             return Verdict(False, "malformed", f"certificate of neighbor {w} undecodable")
         dec_nbrs.append((w, d))
-    nbr_mask = view.neighbor_ids_mask()
 
     # (i) own neighbor list
     if dec_u.neighbors_part != nbr_mask:
@@ -556,7 +555,7 @@ def verify(view: LocalView) -> Verdict:
         return Verdict(False, "ii", "partitioning does not decode to a partition of 1..n")
 
     # (iii)-(iv)
-    rejected = _steps_iii_iv(n, u, nbr_mask, dec_u, dict(dec_nbrs), pidx)
+    rejected = _steps_iii_iv(n, u, nbr_mask, dec_u, dec_of, pidx)
     if rejected is not None:
         return rejected
 
@@ -573,6 +572,13 @@ def verify(view: LocalView) -> Verdict:
     return ACCEPT
 
 
+def verify(view: LocalView) -> Verdict:
+    """Local verification; returns the first failing step or accept."""
+    n = view.n
+    dec_of = {w: _decode(b, n) for w, b in ((view.self_id, view.self_cert), *view.neighbors)}
+    return verdict_at(n, view.self_id, view.neighbor_ids_mask(), dec_of)
+
+
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     """``{v: verify(local_view(g, certs, v))}`` for every vertex; when all
     accept, each certificate is decoded once and no knowledge closure runs.
@@ -582,8 +588,8 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     decodes (steps (i)-(ii)); every vertex passes steps (iii)-(iv), neighbor
     certificates looked up by id; every pieces row in the assignment is its
     owner's actual row; and the verifier's own 5-path search finds no path
-    in the full map of ``g``.  Then every vertex accepts; otherwise each
-    view is verified on its own.
+    in the full map of ``g``.  Then every vertex accepts; otherwise
+    ``verdict_at`` judges each vertex on the same decode table.
 
     Why this is exact: once the first three checks pass, every statement
     any view folds in step (v) is true of ``g``.
@@ -601,15 +607,16 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     5-path in a view's map would be an induced 5-path of ``g``; the search
     on ``g`` finds none, so every vertex reaches step (vi).
     """
-    if _batch_accepts(g, certs):
-        return {v: ACCEPT for v in g.vertices()}
-    return {v: verify(local_view(g, certs, v)) for v in g.vertices()}
-
-
-def _batch_accepts(g: Graph, certs: CertificateAssignment) -> bool:
-    """The batch test of ``verify_all``."""
     n = g.n
     dec = {v: _decode(certs[v], n) for v in g.vertices()}
+    if _batch_accepts(g, dec):
+        return {v: ACCEPT for v in g.vertices()}
+    return {v: verdict_at(n, v, g.adj[v], dec) for v in g.vertices()}
+
+
+def _batch_accepts(g: Graph, dec: Mapping[int, Optional[EncodedCertificate]]) -> bool:
+    """The batch test of ``verify_all`` on its decode table."""
+    n = g.n
     if None in dec.values():
         return False
     block = dec[1].partitioning_part

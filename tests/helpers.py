@@ -446,3 +446,33 @@ def reference_union_accepts(g: Graph, certs) -> bool:
     except Contradiction:
         return False
     return p5free._find_p5_known(km.edge, km.nonedge, n) is None
+
+
+def reference_universal_verifier(property_oracle):
+    """The universal scheme's verifier as it first was: every view re-reads
+    all n rows of its matrix, re-checks loops and symmetry and runs the
+    oracle; oracle."""
+    from p5cert.framework import ACCEPT, Verdict
+
+    def verifier(view):
+        n = view.n
+        matrix = view.self_cert
+        if matrix.length != n * n:
+            return Verdict(False, "malformed", f"matrix certificate must be {n * n} bits")
+        rows = [0] + [matrix.field(i * n, n) for i in range(n)]
+        for v in range(1, n + 1):
+            if rows[v] >> (v - 1) & 1:
+                return Verdict(False, "malformed", f"matrix has a loop at {v}")
+            for u in iter_bits(rows[v]):
+                if not rows[u] >> (v - 1) & 1:
+                    return Verdict(False, "malformed", f"matrix asymmetric at {u},{v}")
+        if rows[view.self_id] != view.neighbor_ids_mask():
+            return Verdict(False, "i", "own matrix row differs from actual neighbors")
+        for w, cert in view.neighbors:
+            if cert != matrix:
+                return Verdict(False, "ii", f"matrix differs from neighbor {w}")
+        if not property_oracle(Graph(n, tuple(rows))):
+            return Verdict(False, "v", "certified property fails on the claimed graph")
+        return ACCEPT
+
+    return verifier

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from p5cert.bits import BitWriter
 from p5cert.framework import local_view
 from p5cert.harness import oracle_is_p5_free
 from p5cert.p5free import scheme as p5_scheme
-from helpers import random_graph
+from helpers import random_graph, reference_universal_verifier
 
 
 def test_universal_accepts_c5():
@@ -58,6 +59,67 @@ def test_universal_shared_matrix_lies_all_caught(p5_graph):
             not sch.verifier(local_view(p5_graph, certs, v)).accept for v in range(1, 6)
         )
         assert rejected
+
+
+def matrix_of(rows, n):
+    w = BitWriter()
+    for v in range(1, n + 1):
+        w.push(rows[v], n)
+    return w.result()
+
+
+def toggled(rows, x, y):
+    rows = list(rows)
+    rows[x] ^= 1 << (y - 1)
+    rows[y] ^= 1 << (x - 1)
+    return rows
+
+
+def universal_lies(g, rng):
+    """(kind, certificates): honest matrices, then each kind of lie the
+    universal verifier checks for, in the shared matrix or at one vertex."""
+    n, rows = g.n, list(g.adj)
+    honest = matrix_of(rows, n)
+    u = rng.randint(1, n)
+    x, y = rng.sample(range(1, n + 1), 2)
+    loop = list(rows)
+    loop[x] |= 1 << (x - 1)
+    one_way = list(rows)
+    one_way[x] ^= 1 << (y - 1)
+    shared = {v: honest for v in g.vertices()}
+    return [
+        ("honest", shared),
+        ("long", {**shared, u: honest + pc.Bits(1, 1)}),
+        ("short", {**shared, u: honest.slice(0, n * n - 1)}),
+        ("loop", {v: matrix_of(loop, n) for v in g.vertices()}),
+        ("asymmetric", {v: matrix_of(one_way, n) for v in g.vertices()}),
+        ("false row", {v: matrix_of(toggled(rows, x, y), n) for v in g.vertices()}),
+        ("neighbor differs", {**shared, u: matrix_of(toggled(rows, x, y), n)}),
+    ]
+
+
+def test_universal_verifier_matches_reference(p5_graph):
+    # one read and one loop/symmetry check per matrix keep every verdict and
+    # witness of the verifier that redid both at each vertex
+    rng = random.Random(4)
+    graphs = [p5_graph, pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])]
+    for seed in range(3):
+        graphs += [pc.generate(pc.GeneratorSpec(family, 8, 0.4, seed)) for family in ("with-p5", "split", "gnp")]
+    seen = collections.Counter()
+    for oracle in (oracle_is_p5_free, lambda g: True):
+        sch, ref = universal_scheme(oracle), reference_universal_verifier(oracle)
+        for g in graphs:
+            for _ in range(3):
+                for kind, certs in universal_lies(g, rng):
+                    for v in g.vertices():
+                        view = local_view(g, certs, v)
+                        got = sch.verifier(view)
+                        assert got == ref(view), (kind, v)
+                        # a malformed verdict counts under its second word:
+                        # "certificate" (length), "has" (loop), "asymmetric"
+                        seen[got.step if got.step != "malformed" else got.witness.split()[1]] += 1
+    for outcome in (None, "certificate", "has", "asymmetric", "i", "ii", "v"):
+        assert seen[outcome] >= 20, seen
 
 
 def test_universal_inconsistent_matrices_rejected(p5_graph):

@@ -6,9 +6,10 @@ import pytest
 import p5cert as pc
 from p5cert.errors import GenerationBudgetExceeded, PreconditionNotP5, TooLarge
 from p5cert.codec import write_certificates
-from p5cert.framework import format_run_report
+from p5cert.framework import format_run_report, local_view
 from p5cert.harness import (
     STRATEGIES,
+    _flip_bit,
     format_fuzz_report,
     format_scaling_csv,
     has_rejection,
@@ -16,7 +17,7 @@ from p5cert.harness import (
     rejecting_mask,
     repair_to_p5_free,
 )
-from p5cert.p5free import scheme
+from p5cert.p5free import _decode, scheme
 from helpers import reference_find_induced_path
 
 SCHEME = scheme()
@@ -117,8 +118,6 @@ def test_wrong_graph_strategy_trips_step_i(p5_graph):
     # certificates proved for a graph with a 5-path edge toggled disagree
     # with someone's true neighborhood
     st = pc.AdversaryStrategy("wrong-graph", 8, seed=1)
-    from p5cert.framework import local_view
-
     for certs in pc.adversarial_certificates(p5_graph, st):
         steps = {
             v: SCHEME.verifier(local_view(p5_graph, certs, v)) for v in p5_graph.vertices()
@@ -153,31 +152,53 @@ def test_fuzz_report_failure_format(p5_graph):
     assert "SOUNDNESS-FUZZ: FAIL counterexample=cx.certs" in text
 
 
+def decode_table(certs, n):
+    return {v: _decode(b, n) for v, b in certs.items()}
+
+
+def per_view_mask(g, certs):
+    """Mask of the vertices whose own view the scheme's verifier rejects."""
+    return sum(1 << (v - 1) for v in g.vertices() if not SCHEME.verifier(local_view(g, certs, v)).accept)
+
+
 def test_rejecting_mask_and_has_rejection(p5_graph):
     certs = pc.prove(p5_graph)
+    dec = decode_table(certs, 5)
     # honest pipeline on the 5-path: everyone sees the path
-    assert rejecting_mask(p5_graph, SCHEME, certs, p5_graph.full_mask) == 0b11111
-    assert rejecting_mask(p5_graph, SCHEME, certs, 0b10010) == 0b10010
-    assert rejecting_mask(p5_graph, SCHEME, certs, 0) == 0
+    assert rejecting_mask(p5_graph, dec, p5_graph.full_mask) == 0b11111
+    assert rejecting_mask(p5_graph, dec, 0b10010) == 0b10010
+    assert rejecting_mask(p5_graph, dec, 0) == 0
     assert has_rejection(p5_graph, SCHEME, certs)
     g = pc.generate(pc.GeneratorSpec("split", 10, 0.5, 2))
     certs = pc.prove(g)
-    assert rejecting_mask(g, SCHEME, certs, g.full_mask) == 0
+    assert rejecting_mask(g, decode_table(certs, g.n), g.full_mask) == 0
     assert not has_rejection(g, SCHEME, certs)
 
 
 def test_flip_changes_rejections_only_in_closed_neighborhood():
-    # greedy-search re-verifies only N[v] after a flip at v
-    g = pc.generate(pc.GeneratorSpec("with-p5", 16, 0.3, 1))
-    certs = honest_best_effort(g, random.Random(0))
-    before = rejecting_mask(g, SCHEME, certs, g.full_mask)
-    rng = random.Random(5)
-    for v in g.vertices():
-        cand = dict(certs)
-        cand[v] = cand[v].flip(rng.randrange(cand[v].length))
-        closed = g.adj[v] | 1 << (v - 1)
-        local = before & ~closed | rejecting_mask(g, SCHEME, cand, closed)
-        assert local == rejecting_mask(g, SCHEME, cand, g.full_mask)
+    # greedy-search keeps a decode table and re-verifies only N[v] after a
+    # flip at v; after every flip, its mask is the per-view mask
+    undecodable = neighbor_only = 0
+    for seed in (1, 2, 3):
+        g = pc.generate(pc.GeneratorSpec("with-p5", 16, 0.3, seed))
+        base = honest_best_effort(g, random.Random(0))
+        base_rej = rejecting_mask(g, decode_table(base, g.n), g.full_mask)
+        assert base_rej == per_view_mask(g, base)
+        rng = random.Random(seed)
+        # single flips of the base, then a walk of flips that accumulate
+        for walk in (False, True):
+            certs, dec, rej = dict(base), decode_table(base, g.n), base_rej
+            for _ in range(6 * g.n):
+                v = rng.randint(1, g.n)
+                if not walk:
+                    certs, dec, rej = dict(base), decode_table(base, g.n), base_rej
+                new_rej = _flip_bit(g, certs, dec, rej, v, rng.randrange(certs[v].length))
+                assert new_rej == per_view_mask(g, certs)
+                undecodable += dec[v] is None
+                neighbor_only += bool((new_rej ^ rej) & g.adj[v])
+                rej = new_rej
+    assert undecodable >= 20, undecodable
+    assert neighbor_only >= 20, neighbor_only
 
 
 def _golden_fuzz_graphs():
@@ -212,6 +233,19 @@ def test_golden_digest_all_strategy_trials():
             for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
                 h.update(write_certificates(certs).encode())
     assert h.hexdigest() == "c9b230932c686040520ab057e57855ecf58b1f6bcecedf746316b94d363522bc"
+
+
+def test_golden_digest_fifty_trial_streams():
+    # 50-trial streams repeat modified graphs (wrong-graph) and run the full
+    # hill climb (greedy-search); certificate bytes of every trial, pinned
+    graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)][::50]
+    graphs += [pc.generate(pc.GeneratorSpec("with-p5", 24, 0.3, 1))]
+    h = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        for kind in ("wrong-graph", "greedy-search"):
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 50, i)):
+                h.update(write_certificates(certs).encode())
+    assert h.hexdigest() == "dfafc9f23dfb9f9557d9bf16502001c0a787c79f7a0f11f7d9daefd7ea9126fd"
 
 
 def test_measure_scaling_rows_and_determinism():

@@ -599,20 +599,20 @@ def batch_outcome(g, certs):
     reject" when some view rejects at one of those steps, "blocks differ"
     when the vertices hold more than one block, and "false pieces row"."""
     events = []
-    search, per_view = p5free._find_p5_known, p5free.verify
+    search, per_vertex = p5free._find_p5_known, p5free.verdict_at
 
     def search_probe(*args):
         found = search(*args)
         events.append("clean" if found is None else "5-path in g")
         return found
 
-    def verify_probe(view):
+    def verdict_probe(*args):
         events.append("fallback")
-        return per_view(view)
+        return per_vertex(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(p5free, "_find_p5_known", search_probe)
-        mp.setattr(p5free, "verify", verify_probe)
+        mp.setattr(p5free, "verdict_at", verdict_probe)
         verdicts = p5free.verify_all(g, certs)
     if not events:
         return verdicts, "accept without search"
