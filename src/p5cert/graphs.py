@@ -8,6 +8,7 @@ are exhaustive and serve as ground truth for the rest of the package.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -251,13 +252,14 @@ def write_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # rows only for vertices named on e lines, so the n of a p line
+    # allocates nothing before the whole file has been checked
+    adj: defaultdict[int, int] = defaultdict(int)
+    count = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate p line")
@@ -280,14 +282,16 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: non-integer e line") from exc
             if not (1 <= u < v <= n):
                 raise GraphFormatError(f"line {lineno}: edge ({u},{v}) violates 1 <= u < v <= n")
-            if (u, v) in seen:
+            v_bit = 1 << (v - 1)
+            if adj[u] & v_bit:
                 raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
-            seen.add((u, v))
-            edges.append((u, v))
+            adj[u] |= v_bit
+            adj[v] |= 1 << (u - 1)
+            count += 1
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing p line")
-    if len(edges) != m:
-        raise GraphFormatError(f"p line announces {m} edges, file has {len(edges)}")
-    return build_graph(n, edges)
+    if count != m:
+        raise GraphFormatError(f"p line announces {m} edges, file has {count}")
+    return Graph(n, tuple(adj.get(v, 0) for v in range(n + 1)))

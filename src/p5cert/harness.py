@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .framework import CertificateAssignment, Scheme, local_view, max_cert_bits
-from .graphs import Graph, build_graph, component_masks, find_induced_path, is_connected, iter_bits
+from .graphs import Graph, component_masks, find_induced_path, is_connected, iter_bits, mask_of
 from .p5free import _decode, prove, scheme as p5_scheme, verdict_at
 from .treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
 
@@ -87,27 +87,32 @@ def _derived_rng(*parts) -> random.Random:
 # --- generators --------------------------------------------------------------
 
 
-def _gnp_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
-    return {
-        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
-    }
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p): one draw per pair (u, v > u), u ascending, then v."""
+    adj = [0] * (n + 1)
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                adj[u] |= 1 << (v - 1)
+                adj[v] |= 1 << (u - 1)
+    return Graph(n, tuple(adj))
 
 
-def _connect_components(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+def _connect_components(g: Graph) -> Graph:
     """Join components along a path of their minimum-id vertices."""
-    g = build_graph(n, edges)
-    comps = component_masks(g, g.full_mask)
-    mins = [(m & -m).bit_length() for m in comps]
+    mins = [m & -m for m in component_masks(g, g.full_mask)]
+    adj = list(g.adj)
     for a, b in zip(mins, mins[1:]):
-        edges.add((min(a, b), max(a, b)))
-    return edges
+        adj[a.bit_length()] |= b
+        adj[b.bit_length()] |= a
+    return Graph(g.n, tuple(adj))
 
 
-def _cograph_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
+def _cograph(n: int, p: float, rng: random.Random) -> Graph:
     """Random cotree: recursive binary union/join, join forced at the root."""
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
-    edges: set[tuple[int, int]] = set()
+    adj = [0] * (n + 1)
     stack: list[tuple[list[int], bool]] = [(ids, True)]
     while stack:
         part, forced_join = stack.pop()
@@ -116,31 +121,38 @@ def _cograph_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]
         cut = rng.randint(1, len(part) - 1)
         left, right = part[:cut], part[cut:]
         if forced_join or rng.random() < p:
+            left_mask, right_mask = mask_of(left), mask_of(right)
             for a in left:
-                for b in right:
-                    edges.add((min(a, b), max(a, b)))
+                adj[a] |= right_mask
+            for b in right:
+                adj[b] |= left_mask
         stack.append((left, False))
         stack.append((right, False))
-    return edges
+    return Graph(n, tuple(adj))
 
 
-def _split_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
+def _split(n: int, p: float, rng: random.Random) -> Graph:
+    """A random clique and independent set; draws run independent-outer,
+    both ascending, and a vertex left unattached joins a random member."""
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     k = rng.randint(1, n)
     clique, indep = sorted(ids[:k]), sorted(ids[k:])
-    edges = {(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]}
-    attached = set()
+    clique_mask = mask_of(clique)
+    adj = [0] * (n + 1)
+    for c in clique:
+        adj[c] = clique_mask & ~(1 << (c - 1))
     for i in indep:
         for c in clique:
             if rng.random() < p:
-                edges.add((min(i, c), max(i, c)))
-                attached.add(i)
+                adj[i] |= 1 << (c - 1)
+                adj[c] |= 1 << (i - 1)
     for i in indep:
-        if i not in attached:
+        if not adj[i]:
             c = rng.choice(clique)
-            edges.add((min(i, c), max(i, c)))
-    return edges
+            adj[i] = 1 << (c - 1)
+            adj[c] |= 1 << (i - 1)
+    return Graph(n, tuple(adj))
 
 
 def _delete_middles_until_p5_free(cur: Graph, rng: random.Random) -> Graph:
@@ -156,19 +168,19 @@ def _delete_middles_until_p5_free(cur: Graph, rng: random.Random) -> Graph:
             return cur
         mids = [(path[1], path[2]), (path[2], path[3])]
         rng.shuffle(mids)
-        first = _without_edge(cur, mids[0])
+        first = _toggled(cur, *mids[0])
         if is_connected(first):
             cur = first
         else:
-            second = _without_edge(cur, mids[1])
+            second = _toggled(cur, *mids[1])
             cur = second if is_connected(second) else first
 
 
-def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    a, b = e
+def _toggled(g: Graph, a: int, b: int) -> Graph:
+    """g with the pair {a, b} flipped between edge and non-edge."""
     adj = list(g.adj)
-    adj[a] &= ~(1 << (b - 1))
-    adj[b] &= ~(1 << (a - 1))
+    adj[a] ^= 1 << (b - 1)
+    adj[b] ^= 1 << (a - 1)
     return Graph(g.n, tuple(adj))
 
 
@@ -183,17 +195,17 @@ def repair_to_p5_free(g: Graph, rng: random.Random) -> Graph:
     any path avoiding it stays inside one fragment, so the patched graph
     is connected and P5-free by construction.
     """
-    n = g.n
     cur = _delete_middles_until_p5_free(g, rng)
     for _ in range(_RECONNECT_ROUNDS):
         if is_connected(cur):
             return cur
-        cur = _delete_middles_until_p5_free(build_graph(n, _connect_components(n, set(cur.edges()))), rng)
+        cur = _delete_middles_until_p5_free(_connect_components(cur), rng)
     if is_connected(cur):
         return cur
-    edges = set(cur.edges())
-    edges.update((1, v) for v in range(2, n + 1) if not cur.has_edge(1, v))
-    return build_graph(n, edges)
+    adj = [row | 1 for row in cur.adj]
+    adj[0] = 0
+    adj[1] = cur.full_mask & ~1
+    return Graph(cur.n, tuple(adj))
 
 
 def generate(spec: GeneratorSpec) -> Graph:
@@ -201,25 +213,20 @@ def generate(spec: GeneratorSpec) -> Graph:
     rng = _derived_rng(spec.family, spec.n, spec.p, spec.seed)
     n, p = spec.n, spec.p
     if spec.family == "cograph":
-        return build_graph(n, _cograph_edges(n, p, rng))
+        return _cograph(n, p, rng)
     if spec.family == "split":
-        return build_graph(n, _split_edges(n, p, rng))
+        return _split(n, p, rng)
     if spec.family == "gnp":
         for _ in range(50):
-            edges = _gnp_edges(n, p, rng)
-            if is_connected(build_graph(n, edges)):
-                return build_graph(n, edges)
-        return build_graph(n, _connect_components(n, edges))
+            g = _gnp(n, p, rng)
+            if is_connected(g):
+                return g
+        return _connect_components(g)
     if spec.family == "p5free-repair":
-        edges = _gnp_edges(n, p, rng)
-        g = build_graph(n, _connect_components(n, edges))
-        return repair_to_p5_free(g, rng)
+        return repair_to_p5_free(_connect_components(_gnp(n, p, rng)), rng)
     # with-p5: resample until the oracle finds an induced 5-path
     for _ in range(200):
-        edges = _gnp_edges(n, p, rng)
-        if not is_connected(build_graph(n, edges)):
-            edges = _connect_components(n, edges)
-        g = build_graph(n, edges)
+        g = _connect_components(_gnp(n, p, rng))
         if find_induced_path(g) is not None:
             return g
     raise GenerationBudgetExceeded(f"no graph with an induced 5-path found for n={n}, p={p}")
@@ -343,25 +350,19 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                 cur[v] = cur[v].flip(rng.randrange(cur[v].length))
             yield cur
         elif kind == "wrong-graph":
-            edges = set(g.edges())
             if path is None:
-                u = rng.randint(1, n)
-                v = rng.randint(1, n - 1)
-                v += v >= u
-                e = (min(u, v), max(u, v))
-                edges.symmetric_difference_update({e})
+                a = rng.randint(1, n)
+                b = rng.randint(1, n - 1)
+                b += b >= a
             elif rng.random() < 0.5:
-                e = rng.choice(list(zip(path, path[1:])))
-                edges.discard((min(e), max(e)))
+                a, b = rng.choice(list(zip(path, path[1:])))
             else:
                 i, j = sorted(rng.sample(range(5), 2))
                 while j - i == 1:
                     i, j = sorted(rng.sample(range(5), 2))
-                e = (min(path[i], path[j]), max(path[i], path[j]))
-                edges.add(e)
-            modified = build_graph(n, edges)
-            if not is_connected(modified):
-                modified = build_graph(n, _connect_components(n, set(modified.edges())))
+                a, b = path[i], path[j]
+            # on the induced path, a toggle deletes a path edge or adds a chord
+            modified = _connect_components(_toggled(g, a, b))
             proved = proofs.get(modified.adj)
             if proved is None:
                 try:

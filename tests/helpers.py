@@ -3,8 +3,20 @@
 import itertools
 import random
 
-from p5cert.errors import OutOfRangeVertex
-from p5cert.graphs import Graph, as_induced_p3, is_clique, iter_bits, mask_of, set_of
+from p5cert.errors import GenerationBudgetExceeded, OutOfRangeVertex
+from p5cert.graphs import (
+    Graph,
+    as_induced_p3,
+    build_graph,
+    component_masks,
+    find_induced_path,
+    is_clique,
+    is_connected,
+    iter_bits,
+    mask_of,
+    set_of,
+)
+from p5cert.harness import _RECONNECT_ROUNDS, _derived_rng
 from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
 
 
@@ -476,3 +488,135 @@ def reference_universal_verifier(property_oracle):
         return ACCEPT
 
     return verifier
+
+
+# --- generators over edge-tuple sets, the oracle for harness.generate ---------
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
+    return {
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+    }
+
+
+def _connect_components(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Join components along a path of their minimum-id vertices."""
+    g = build_graph(n, edges)
+    comps = component_masks(g, g.full_mask)
+    mins = [(m & -m).bit_length() for m in comps]
+    for a, b in zip(mins, mins[1:]):
+        edges.add((min(a, b), max(a, b)))
+    return edges
+
+
+def _cograph_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
+    """Random cotree: recursive binary union/join, join forced at the root."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    edges: set[tuple[int, int]] = set()
+    stack: list[tuple[list[int], bool]] = [(ids, True)]
+    while stack:
+        part, forced_join = stack.pop()
+        if len(part) == 1:
+            continue
+        cut = rng.randint(1, len(part) - 1)
+        left, right = part[:cut], part[cut:]
+        if forced_join or rng.random() < p:
+            for a in left:
+                for b in right:
+                    edges.add((min(a, b), max(a, b)))
+        stack.append((left, False))
+        stack.append((right, False))
+    return edges
+
+
+def _split_edges(n: int, p: float, rng: random.Random) -> set[tuple[int, int]]:
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    k = rng.randint(1, n)
+    clique, indep = sorted(ids[:k]), sorted(ids[k:])
+    edges = {(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]}
+    attached = set()
+    for i in indep:
+        for c in clique:
+            if rng.random() < p:
+                edges.add((min(i, c), max(i, c)))
+                attached.add(i)
+    for i in indep:
+        if i not in attached:
+            c = rng.choice(clique)
+            edges.add((min(i, c), max(i, c)))
+    return edges
+
+
+def _delete_middles_until_p5_free(cur: Graph, rng: random.Random) -> Graph:
+    """Delete a middle edge (position 2-3 or 3-4) of each found 5-path.
+
+    Terminates because the edge count strictly decreases; the middle whose
+    deletion keeps the graph connected is preferred, but the result may
+    still be disconnected.
+    """
+    while True:
+        path = find_induced_path(cur)
+        if path is None:
+            return cur
+        mids = [(path[1], path[2]), (path[2], path[3])]
+        rng.shuffle(mids)
+        first = _without_edge(cur, mids[0])
+        if is_connected(first):
+            cur = first
+        else:
+            second = _without_edge(cur, mids[1])
+            cur = second if is_connected(second) else first
+
+
+def _without_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    a, b = e
+    adj = list(g.adj)
+    adj[a] &= ~(1 << (b - 1))
+    adj[b] &= ~(1 << (a - 1))
+    return Graph(g.n, tuple(adj))
+
+
+def _reference_repair(g: Graph, rng: random.Random) -> Graph:
+    """``harness.repair_to_p5_free`` over edge-tuple sets."""
+    n = g.n
+    cur = _delete_middles_until_p5_free(g, rng)
+    for _ in range(_RECONNECT_ROUNDS):
+        if is_connected(cur):
+            return cur
+        cur = _delete_middles_until_p5_free(build_graph(n, _connect_components(n, set(cur.edges()))), rng)
+    if is_connected(cur):
+        return cur
+    edges = set(cur.edges())
+    edges.update((1, v) for v in range(2, n + 1) if not cur.has_edge(1, v))
+    return build_graph(n, edges)
+
+
+def reference_generate(spec) -> Graph:
+    """``harness.generate`` as it was built from edge-tuple sets; oracle."""
+    rng = _derived_rng(spec.family, spec.n, spec.p, spec.seed)
+    n, p = spec.n, spec.p
+    if spec.family == "cograph":
+        return build_graph(n, _cograph_edges(n, p, rng))
+    if spec.family == "split":
+        return build_graph(n, _split_edges(n, p, rng))
+    if spec.family == "gnp":
+        for _ in range(50):
+            edges = _gnp_edges(n, p, rng)
+            if is_connected(build_graph(n, edges)):
+                return build_graph(n, edges)
+        return build_graph(n, _connect_components(n, edges))
+    if spec.family == "p5free-repair":
+        edges = _gnp_edges(n, p, rng)
+        g = build_graph(n, _connect_components(n, edges))
+        return _reference_repair(g, rng)
+    # with-p5: resample until the oracle finds an induced 5-path
+    for _ in range(200):
+        edges = _gnp_edges(n, p, rng)
+        if not is_connected(build_graph(n, edges)):
+            edges = _connect_components(n, edges)
+        g = build_graph(n, edges)
+        if find_induced_path(g) is not None:
+            return g
+    raise GenerationBudgetExceeded(f"no graph with an induced 5-path found for n={n}, p={p}")

@@ -236,18 +236,30 @@ def test_graph_file_round_trip(p5_graph):
     assert pc.parse_graph("c comment\n" + text) == p5_graph
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p 3 2\ne 1 2\n",  # wrong m
-        "p 3 1\ne 1 4\n",  # out of range
-        "p 3 1\ne 2 1\n",  # u >= v
-        "p 3 2\ne 1 2\ne 1 2\n",  # duplicate
-        "e 1 2\np 3 1\n",  # e before p
-        "p 3 1\nq 1 2\n",  # unknown record
-        "",  # missing p
-    ],
-)
+_STRICT_ERRORS = {
+    "p 3 2\ne 1 2\n": "p line announces 2 edges, file has 1",  # wrong m
+    "p 3 1\ne 1 4\n": "line 2: edge (1,4) violates 1 <= u < v <= n",  # out of range
+    "p 3 1\ne 2 1\n": "line 2: edge (2,1) violates 1 <= u < v <= n",  # u >= v
+    "p 3 2\ne 1 2\ne 1 2\n": "line 3: duplicate edge (1,2)",  # duplicate
+    "e 1 2\np 3 1\n": "line 1: e line before p line",  # e before p
+    "p 3 1\nq 1 2\n": "line 2: unknown record 'q'",  # unknown record
+    "": "missing p line",  # missing p
+}
+
+
+@pytest.mark.parametrize("text", list(_STRICT_ERRORS))
 def test_graph_file_strict_errors(text):
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError) as exc:
         pc.parse_graph(text)
+    assert str(exc.value) == _STRICT_ERRORS[text]
+
+
+def test_graph_file_round_trip_headline_size():
+    for family in ("cograph", "split"):
+        g = pc.generate(pc.GeneratorSpec(family, 1024, 0.5, 1))
+        text = pc.write_graph(g)
+        assert pc.parse_graph(text) == g
+        # a repeated first edge is caught on its own line, before the count
+        first = text.splitlines()[1]
+        with pytest.raises(GraphFormatError, match=f"^line {g.edge_count() + 2}: duplicate edge"):
+            pc.parse_graph(text + first + "\n")

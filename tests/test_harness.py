@@ -8,6 +8,7 @@ from p5cert.errors import GenerationBudgetExceeded, PreconditionNotP5, TooLarge
 from p5cert.codec import write_certificates
 from p5cert.framework import format_run_report, local_view
 from p5cert.harness import (
+    FAMILIES,
     STRATEGIES,
     _flip_bit,
     format_fuzz_report,
@@ -18,7 +19,7 @@ from p5cert.harness import (
     repair_to_p5_free,
 )
 from p5cert.p5free import _decode, scheme
-from helpers import reference_find_induced_path
+from helpers import reference_find_induced_path, reference_generate
 
 SCHEME = scheme()
 
@@ -62,6 +63,26 @@ def test_with_p5_family_contains_p5():
 def test_with_p5_impossible_below_five_vertices():
     with pytest.raises(GenerationBudgetExceeded):
         pc.generate(pc.GeneratorSpec("with-p5", 4, 0.5, 0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_matches_reference(family):
+    # the row generators against the edge-tuple-set ones they replaced:
+    # same graph, or the same GenerationBudgetExceeded
+    budget = 0
+    for n in (1, 2, 3, 5, 8, 13, 32, 64):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for seed in (1, 2, 3):
+                spec = pc.GeneratorSpec(family, n, p, seed)
+                try:
+                    expected = reference_generate(spec)
+                except GenerationBudgetExceeded:
+                    budget += 1
+                    with pytest.raises(GenerationBudgetExceeded):
+                        pc.generate(spec)
+                    continue
+                assert pc.generate(spec) == expected, spec
+    assert (budget > 0) == (family == "with-p5")
 
 
 def test_repair_produces_p5_free_connected():
@@ -248,6 +269,16 @@ def test_golden_digest_fifty_trial_streams():
     assert h.hexdigest() == "dfafc9f23dfb9f9557d9bf16502001c0a787c79f7a0f11f7d9daefd7ea9126fd"
 
 
+def test_golden_digest_wrong_graph_on_p5_free_graphs():
+    # with no 5-path to edit, wrong-graph toggles a random pair
+    h = hashlib.sha256()
+    for i, (family, n) in enumerate([("cograph", 12), ("split", 12), ("p5free-repair", 16)]):
+        g = pc.generate(pc.GeneratorSpec(family, n, 0.5, 1))
+        for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy("wrong-graph", 20, i)):
+            h.update(write_certificates(certs).encode())
+    assert h.hexdigest() == "e30f49842094077538a74f085b1eefa0470ed2a9cf1c5018678e85c7fb52cebe"
+
+
 def test_measure_scaling_rows_and_determinism():
     rows1, c1 = pc.measure_scaling([8, 16], "split", seed=5)
     rows2, c2 = pc.measure_scaling([8, 16], "split", seed=5)
@@ -279,6 +310,14 @@ def test_honest_best_effort_on_non_p5_free(p5_graph):
         ("p5free-repair", 48, 0.5, 1, "30381f84628b4233cbb8143bab3d1a411e9d62a7ab3b945288574b576c4bf60d"),
         ("p5free-repair", 48, 0.5, 2, "61da4a46e87d646441e3367fd2fa7895edd6cff76d137fb8bb539f18da2acf8f"),
         ("p5free-repair", 256, 0.5, 1, "8ba9f6d2aa41d06c2e8851895ed5879550024973ffb40c0c2edc4ae84ee793f2"),
+        ("cograph", 1024, 0.5, 1, "86fe95a25b99c2a01bb90e597ed95b0f33f6f87be978dec1259d6a307dddf3da"),
+        ("cograph", 1024, 0.5, 2, "d60c9036a9ad78e0e6c8d1fdcb7404d3b2d902f3709857a145408eef823d43b3"),
+        ("split", 512, 0.5, 1, "9df2b23def625cc82be966363feedb6d53846966fbaf1aefd5108bc0f2ef4c20"),
+        ("split", 512, 0.5, 2, "9f4b6ac7863cef9731fc693ad75f651a6eeed1a5ee6ba4dee3aab5a77ff59b2e"),
+        ("split", 512, 0.5, 3, "030934776728f136111f904f8c73de4cc7076a1143927dacf04ffc0aa18d90bd"),
+        ("split", 1024, 0.5, 1, "db742144369024e3ef7598991c33e2f5aca4b4db08a25361f73fa374aea5bfa9"),
+        ("split", 1024, 0.5, 2, "2a48790e0466688031e23b602f3945b72090d0a1d1ce0d7fc19cbbfc3a132226"),
+        ("gnp", 64, 0.3, 1, "93d868b46f77deffc8e208ccf73a2ed1c333f2d495881f19c68402f385bbf971"),
     ],
 )
 def test_golden_digest_generators(family, n, p, seed, digest):
