@@ -244,8 +244,9 @@ def require_connected(g: Graph) -> None:
 
 def write_graph(g: Graph) -> str:
     lines = [f"p {g.n} {g.edge_count()}"]
-    for u, v in g.edges():
-        lines.append(f"e {u} {v}")
+    for u in g.vertices():  # the e lines of g.edges(), read off the rows
+        prefix = f"e {u} "
+        lines += [prefix + str(v) for v in iter_bits(g.adj[u] >> u << u)]
     return "\n".join(lines) + "\n"
 
 

@@ -329,7 +329,12 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     for greedy-search, the base's decode table and rejection mask, so a
     trial verifies only the closed neighborhood of each flipped vertex and
     decodes only the flipped certificate.
+
+    A wrong-graph stream needs a vertex pair to toggle: on a 1-vertex graph
+    it raises ``ValueError`` before its first trial.
     """
+    if strategy.kind == "wrong-graph" and g.n < 2:
+        raise ValueError("wrong-graph needs a graph with at least 2 vertices")
     rng = _derived_rng("adversary", strategy.kind, strategy.seed, g.n, g.adj)
     n = g.n
     base = honest_best_effort(g, rng)

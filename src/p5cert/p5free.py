@@ -580,56 +580,56 @@ def verify(view: LocalView) -> Verdict:
 
 
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
-    """``{v: verify(local_view(g, certs, v))}`` for every vertex; when all
-    accept, each certificate is decoded once and no knowledge closure runs.
+    """``{v: verify(local_view(g, certs, v))}`` for every vertex, from one
+    decode table; a view that folds only true statements runs no closure.
 
-    The batch test (``_batch_accepts``): every certificate decodes, claims
-    its vertex's actual row and holds the one shared block, and that block
-    decodes (steps (i)-(ii)); every vertex passes steps (iii)-(iv), neighbor
-    certificates looked up by id; every pieces row in the assignment is its
-    owner's actual row; and the verifier's own 5-path search finds no path
-    in the full map of ``g``.  Then every vertex accepts; otherwise
-    ``verdict_at`` judges each vertex on the same decode table.
+    T(B) is the set of vertices whose certificate decodes, claims its
+    vertex's actual row, carries only its owners' actual pieces rows, and
+    holds block B.  B counts when it decodes and every pair it implies is
+    true of ``g``.  A vertex whose closed neighborhood lies in T(B), for a
+    B that counts, gets its steps (iii)-(iv) verdict or accept, unless the
+    verifier's own 5-path search, run once if some vertex qualifies, finds
+    a path in the full map of ``g``.  Every other vertex gets ``verdict_at``.
 
-    Why this is exact: once the first three checks pass, every statement
-    any view folds in step (v) is true of ``g``.
-
-    - Its own row and each neighbor's row are actual rows, by step (i) at
-      the vertex and at the neighbor.  Every pieces row it sees is an actual
-      row, by the pieces-row check; step (iv) alone only covers the pieces
-      rows whose owner lies in the holder's subtree.
-    - The partition-implied pairs are true, by step (iii) at every vertex:
-      clique bags are cliques, every P3 bag vertex has its role, and no
-      vertex has a neighbor in another branch.
-
-    Two true statements never disagree, so no view's closure raises, and
-    every view's map lies inside the map of ``g``.  A fully known induced
-    5-path in a view's map would be an induced 5-path of ``g``; the search
-    on ``g`` finds none, so every vertex reaches step (vi).
+    Why this is exact, per view: steps (i)-(ii) pass at such a vertex, and
+    every statement its step (v) folds is true of ``g``: its own and its
+    neighbors' rows, every pieces row any of them carries, and the pairs B
+    implies.  True statements never disagree, so its closure cannot raise,
+    and its map lies inside the map of ``g``.  A fully known induced 5-path
+    in its map would be one of ``g``, which the search on ``g`` rules out.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     dec = {v: _decode(certs[v], n) for v in g.vertices()}
-    if _batch_accepts(g, dec):
-        return {v: ACCEPT for v in g.vertices()}
-    return {v: verdict_at(n, v, g.adj[v], dec) for v in g.vertices()}
-
-
-def _batch_accepts(g: Graph, dec: Mapping[int, Optional[EncodedCertificate]]) -> bool:
-    """The batch test of ``verify_all`` on its decode table."""
-    n = g.n
-    if None in dec.values():
-        return False
-    block = dec[1].partitioning_part
-    # (i) and (ii)
-    if any(d.neighbors_part != g.adj[v] or d.partitioning_part != block for v, d in dec.items()):
-        return False
-    pidx = _partition_index(block, n)
-    return (
-        pidx is not None
-        and all(_steps_iii_iv(n, v, g.adj[v], d, dec, pidx) is None for v, d in dec.items())
-        and all(e.row == g.adj[e.owner] for d in dec.values() for e in d.pieces_part)
-        and find_known_induced_p5(full_knowledge_map(g)) is None
-    )
+    trusted: dict[Bits, list[int]] = {}  # B -> [T(B) as a vertex mask]
+    b = None
+    for v, d in dec.items():
+        if d is not None:
+            p = d.partitioning_part
+            if b is None or p.value != b.value or p.length != b.length:  # blocks mostly repeat
+                b = p
+                t = trusted.setdefault(b, [0])
+            rows_true = d.neighbors_part == adj[v]
+            for e in d.pieces_part:
+                rows_true &= e.row == adj[e.owner]
+            t[0] |= rows_true << (v - 1)
+    true_view: dict[int, PartitionIndex] = {}  # qualifying vertex -> the index of its block
+    for b, (t,) in trusted.items():
+        ready = [v for v in iter_bits(t) if not adj[v] & ~t]
+        pidx = _partition_index(b, n) if ready else None
+        if pidx is not None and not any(
+            ie & ~a or (ine | cn) & a for ie, ine, cn, a in zip(pidx.intra_edge, pidx.intra_nonedge, pidx.cross_nonedge, adj)
+        ):
+            true_view.update(dict.fromkeys(ready, pidx))
+    if true_view and find_known_induced_p5(full_knowledge_map(g)) is not None:
+        true_view = {}
+    verdicts = {}
+    for v in g.vertices():
+        pidx = true_view.get(v)
+        if pidx is None:
+            verdicts[v] = verdict_at(n, v, adj[v], dec)
+        else:
+            verdicts[v] = _steps_iii_iv(n, v, adj[v], dec[v], dec, pidx) or ACCEPT
+    return verdicts
 
 
 def scheme() -> Scheme:

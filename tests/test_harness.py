@@ -279,6 +279,17 @@ def test_golden_digest_wrong_graph_on_p5_free_graphs():
     assert h.hexdigest() == "e30f49842094077538a74f085b1eefa0470ed2a9cf1c5018678e85c7fb52cebe"
 
 
+def test_wrong_graph_on_one_vertex_raises_before_first_trial():
+    g = pc.generate(pc.GeneratorSpec("cograph", 1, 0.5, 1))
+    stream = pc.adversarial_certificates(g, pc.AdversaryStrategy("wrong-graph", 3, 1))
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        next(stream)
+    # the other strategies still stream their trials on one vertex
+    for kind in STRATEGIES:
+        if kind != "wrong-graph":
+            assert len(list(pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 3, 1)))) == 3
+
+
 def test_measure_scaling_rows_and_determinism():
     rows1, c1 = pc.measure_scaling([8, 16], "split", seed=5)
     rows2, c2 = pc.measure_scaling([8, 16], "split", seed=5)

@@ -590,41 +590,31 @@ def test_small_and_big_threshold_agreement():
     assert bag_is_small(Bag(frozenset({1, 2, 3}), CLIQUE), 9)
 
 
-# --- batched step (v): verify_all against per-view verify --------------------
+# --- verify_all against per-view verify --------------------------------------
 
 
-def batch_outcome(g, certs):
-    """verify_all's verdicts and the branch its batch test took: "clean" or
-    "5-path in g" when it reached the search on ``g``, else "step (i)-(iv)
-    reject" when some view rejects at one of those steps, "blocks differ"
-    when the vertices hold more than one block, and "false pieces row"."""
-    events = []
-    search, per_vertex = p5free._find_p5_known, p5free.verdict_at
+def verify_all_traced(g, certs):
+    """verify_all's verdicts, the vertices it sent to ``verdict_at``, and
+    what its search on ``g`` found: None when it did not search, else
+    whether it found a 5-path."""
+    sent, found = set(), []
+    search, per_vertex = p5free.find_known_induced_p5, p5free.verdict_at
 
-    def search_probe(*args):
-        found = search(*args)
-        events.append("clean" if found is None else "5-path in g")
-        return found
+    def search_probe(km):
+        witness = search(km)
+        found.append(witness is not None)
+        return witness
 
-    def verdict_probe(*args):
-        events.append("fallback")
-        return per_vertex(*args)
+    def verdict_probe(n, u, *args):
+        sent.add(u)
+        return per_vertex(n, u, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(p5free, "_find_p5_known", search_probe)
+        mp.setattr(p5free, "find_known_induced_p5", search_probe)
         mp.setattr(p5free, "verdict_at", verdict_probe)
         verdicts = p5free.verify_all(g, certs)
-    if not events:
-        return verdicts, "accept without search"
-    if events[0] != "fallback":
-        return verdicts, events[0]
-    if any(d.step in ("malformed", "i", "ii", "iii", "iv") for d in verdicts.values()):
-        return verdicts, "step (i)-(iv) reject"
-    dec = [decode_certificate(b, g.n) for b in certs.values()]
-    if len({d.partitioning_part for d in dec}) > 1:
-        return verdicts, "blocks differ"
-    assert any(e.row != g.adj[e.owner] for d in dec for e in d.pieces_part)
-    return verdicts, "false pieces row"
+    assert len(found) <= 1, "the search on g runs at most once"
+    return verdicts, sent, found[0] if found else None
 
 
 def reference_outcome(g, certs):
@@ -737,8 +727,68 @@ def two_cliques_two_blocks(a, n, s1_high, rng):
     return g, certs
 
 
+def closed_neighborhood(g, u):
+    return set(iter_bits(g.adj[u] | 1 << (u - 1)))
+
+
+ONE_LIES = ("false own row", "false foreign pieces row", "second valid block")
+
+
+def with_one_lie(g, tp, certs, kind, rng):
+    """(u, certificates): honest ones where vertex u alone lies, or None
+    when ``g`` offers no place for the lie.
+
+    - "false own row": u claims its lowest non-neighbor as a neighbor.
+    - "false foreign pieces row": u carries another vertex's pieces row with
+      one bit flipped.
+    - "second valid block": u holds the partition with one tree node's
+      children in reverse order, a block that decodes to a valid tree
+      partition of ``g`` but is not the one its neighbors hold."""
+    dec = {v: decode_certificate(b, g.n) for v, b in certs.items()}
+    if kind == "false own row":
+        non = {v: g.full_mask & ~g.adj[v] & ~(1 << (v - 1)) for v in g.vertices()}
+        u = rng.choice([v for v in g.vertices() if non[v]])
+        forged = replace(dec[u], neighbors_part=g.adj[u] | non[u] & -non[u])
+    elif kind == "false foreign pieces row":
+        places = [(v, i) for v in g.vertices() for i, e in enumerate(dec[v].pieces_part) if e.owner != v]
+        if not places:
+            return None
+        u, i = rng.choice(places)
+        e = dec[u].pieces_part[i]
+        y = rng.choice([w for w in g.vertices() if w != e.owner])
+        rows = list(dec[u].pieces_part)
+        rows[i] = NeighborhoodRow(e.owner, e.row ^ 1 << (y - 1))
+        forged = replace(dec[u], pieces_part=tuple(rows))
+    else:
+        nodes = [i for i, kids in enumerate(tp.tree.children) if len(kids) > 1]
+        if not nodes:
+            return None
+        node = rng.choice(nodes)
+        children = list(tp.tree.children)
+        children[node] = children[node][::-1]
+        other = replace(tp, tree=RootedTree(tp.tree.parent, tuple(children)))
+        u = rng.randint(1, g.n)
+        forged = replace(dec[u], partitioning_part=pc.encode_partitioning(other, g.n))
+        assert forged.partitioning_part != dec[u].partitioning_part
+    return u, {**certs, u: encode_certificate(forged, g.n)}
+
+
+def test_verify_all_one_lie_split_256():
+    # the CI headline step's lie, at n = 256: vertex 5 claims its lowest non-neighbor
+    g = pc.generate(GeneratorSpec("split", 256, 0.5, 1))
+    certs = pc.prove(g)
+    non = g.full_mask & ~g.adj[5] & ~(1 << 4)
+    certs[5] = encode_certificate(replace(decode_certificate(certs[5], g.n), neighbors_part=g.adj[5] | non & -non), g.n)
+    got, sent, p5_in_g = verify_all_traced(g, certs)
+    assert got == {v: verify(local_view(g, certs, v)) for v in g.vertices()}
+    assert got[5].step == "i" and sum(not d.accept for d in got.values()) > 1
+    # verdict_at runs only at the views that hold vertex 5's certificate
+    assert sent == closed_neighborhood(g, 5) and p5_in_g is False
+
+
 def test_verify_all_matches_verify():
     cases = []  # (source, graph, certificates)
+    expect_sent = {}  # case index -> N[u] of the one vertex u that lies
     for spec in p5free_corpus():
         g = pc.generate(spec)
         cases.append(("honest", g, pc.prove(g)))
@@ -758,6 +808,7 @@ def test_verify_all_matches_verify():
                 tp = pc.build_tree_partition(g)
                 for node in range(1, len(tp.bags)):
                     if not bag_is_small(tp.bags[node], n):
+                        expect_sent[len(cases)] = closed_neighborhood(g, tp.bags[node].sorted_members()[0])
                         cases.append(("foreign row", g, with_extra_foreign_row(g, tp, pc.prove(g), node, rng)))
     for i in range(24):
         a, n = rng.choice([(2, 8), (2, 10), (3, 12), (3, 16)])
@@ -771,24 +822,46 @@ def test_verify_all_matches_verify():
                 if forged is not None:
                     cases.append((kind, g, forged))
 
-    outcomes = collections.Counter()
-    # inputs where only a batch check of steps (i)-(iv) keeps the batch exact
-    caught_by_batch_guard = collections.Counter()
+    for family, n, seed in (
+        ("split", 64, 1), ("split", 96, 2), ("split", 128, 1), ("split", 256, 1),
+        ("cograph", 64, 1), ("cograph", 128, 2), ("cograph", 256, 1),
+    ):
+        g = pc.generate(GeneratorSpec(family, n, 0.5, seed))
+        tp, certs = pc.build_tree_partition(g), pc.prove(g)
+        for kind in ONE_LIES:
+            for _ in range(4):
+                lie = with_one_lie(g, tp, certs, kind, rng)
+                if lie is not None:
+                    u, forged = lie
+                    expect_sent[len(cases)] = closed_neighborhood(g, u)
+                    cases.append((kind, g, forged))
+
+    kinds = collections.Counter()  # what the inputs hold
+    rejected = collections.Counter()  # lies of these families that some view rejects
+    mixed = collections.Counter()  # one-lie cases where some views skip verdict_at and some do not
     union_raised = 0
-    for source, g, certs in cases:
+    for i, (source, g, certs) in enumerate(cases):
         want = {v: verify(local_view(g, certs, v)) for v in g.vertices()}
-        got, branch = batch_outcome(g, certs)
-        assert got == want, (source, branch)
-        # the union closure this batch test replaces makes the same decision
+        got, sent, p5_in_g = verify_all_traced(g, certs)
+        assert got == want, source
+        # the union closure of the first batch test accepts exactly when
+        # every view skips verdict_at and accepts
         ref_accepts, ref_raised = reference_outcome(g, certs)
-        assert ref_accepts == (branch == "clean"), (source, branch)
+        assert ref_accepts == (not sent and all(d.accept for d in got.values())), source
         union_raised += ref_raised
-        if source == "foreign row":
-            assert branch == "false pieces row", branch
-        outcomes[branch] += 1
+        if i in expect_sent:
+            assert sent == expect_sent[i], source
+            mixed[source] += 0 < len(sent) < g.n
+        dec = [p5free._decode(b, g.n) for b in certs.values()]
+        kinds["clean"] += ref_accepts
+        kinds["5-path in g"] += p5_in_g is True
+        kinds["step (i)-(iv) reject"] += any(d.step in ("malformed", "i", "ii", "iii", "iv") for d in want.values())
+        kinds["blocks differ"] += len({d.partitioning_part for d in dec if d is not None}) > 1
+        kinds["false pieces row"] += any(e.row != g.adj[e.owner] for d in dec if d is not None for e in d.pieces_part)
         if source in ("two blocks",) + LOCAL_LIES and not all(d.accept for d in want.values()):
-            caught_by_batch_guard[source] += 1
-    for branch in ("clean", "false pieces row", "5-path in g", "step (i)-(iv) reject", "blocks differ"):
-        assert outcomes[branch] >= 20, outcomes
+            rejected[source] += 1
+    for kind in ("clean", "false pieces row", "5-path in g", "step (i)-(iv) reject", "blocks differ"):
+        assert kinds[kind] >= 20, kinds
     assert union_raised >= 20, union_raised
-    assert min(caught_by_batch_guard[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, caught_by_batch_guard
+    assert min(rejected[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, rejected
+    assert min(mixed[s] for s in ONE_LIES) >= 20, mixed
