@@ -22,13 +22,23 @@ reject any L for which this is not a positive integer.
 The length field is 3 bits wider than the two-id field one might expect:
 for n = 3 an all-singleton partition occupies 19 bits, which already
 overflows 2*idwidth = 4 bits.
+
+How fields are read: a certificate's row and block length come off the
+top with one shift.  The tail (entry count and entries) is then everything
+below the block: its length is the total length less the head and the
+block, and one mask cuts it out, so each entry costs a shift of the small
+tail, not of the whole certificate.  Every length field is checked against
+the bits that are left before a mask is built from it, so a lying length
+costs nothing.  The partitioning block, tree walk included, is read from
+one 0/1 string of the block.  A malformed input gets the error of the
+first field, in stream order, that cannot be read or fails its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitReader, Bits, BitUnderflow, BitWriter
+from .bits import Bits
 from .errors import (
     CertificateFormatError,
     MalformedCertificate,
@@ -47,29 +57,34 @@ def plen_width(n: int) -> int:
     return 2 * idwidth(n) + 3
 
 
-def encode_tree(tree: RootedTree) -> Bits:
-    """Depth-first 0=down / 1=up encoding; 2*(node count - 1) bits."""
-    w = BitWriter()
+def _walk(tree: RootedTree) -> str:
+    """The tree's 0=down / 1=up walk as a 0/1 string."""
+    steps = []
     stack = [(tree.root, 0)]
     while stack:
         node, next_child = stack.pop()
         kids = tree.children[node]
         if next_child < len(kids):
             stack.append((node, next_child + 1))
-            w.push(0, 1)
+            steps.append("0")
             stack.append((kids[next_child], 0))
         elif stack:
-            w.push(1, 1)
-    return w.result()
+            steps.append("1")
+    return "".join(steps)
 
 
-def decode_tree(b: Bits) -> RootedTree:
-    """Inverse of ``encode_tree``; nodes come out numbered in preorder."""
+def encode_tree(tree: RootedTree) -> Bits:
+    """Depth-first 0=down / 1=up encoding; 2*(node count - 1) bits."""
+    return Bits.from01(_walk(tree))
+
+
+def _unwalk(walk: str) -> RootedTree:
+    """Inverse of ``_walk``; nodes come out numbered in preorder."""
     parents: list[int | None] = [None]
     children: list[list[int]] = [[]]
     cur = 0
-    for i in range(b.length):
-        if b.bit(i) == 0:
+    for step in walk:
+        if step == "0":
             node = len(parents)
             parents.append(cur)
             children.append([])
@@ -85,20 +100,23 @@ def decode_tree(b: Bits) -> RootedTree:
     return RootedTree(tuple(parents), tuple(tuple(k) for k in children))
 
 
+def decode_tree(b: Bits) -> RootedTree:
+    """Inverse of ``encode_tree``; nodes come out numbered in preorder."""
+    return _unwalk(b.to01())
+
+
 def encode_partitioning(tp: TreePartition, n: int) -> Bits:
     if tp.n != n:
         raise ValueError(f"partition of 1..{tp.n} cannot be encoded for n={n}")
-    w = idwidth(n)
-    out = BitWriter()
-    out.push_bits(encode_tree(tp.tree))
+    fw = f"0{idwidth(n)}b"
+    fields = [_walk(tp.tree)]
     for node in tp.tree.preorder():
         bag = tp.bags[node]
-        out.push(1 if bag.kind == P3 else 0, 1)
-        out.push(len(bag.members), w)
         ids = bag.p3_order if bag.kind == P3 else bag.sorted_members()
-        for v in ids:
-            out.push(v, w)
-    return out.result()
+        fields.append("1" if bag.kind == P3 else "0")
+        fields.append(format(len(ids), fw))
+        fields += [format(v, fw) for v in ids]
+    return Bits.from01("".join(fields))
 
 
 def decode_partitioning(b: Bits, n: int) -> TreePartition:
@@ -109,49 +127,55 @@ def decode_partitioning(b: Bits, n: int) -> TreePartition:
     verifier's business, not the decoder's.
     """
     w = idwidth(n)
-    numerator = b.length + 2 - n * w
+    length = b.length
+    numerator = length + 2 - n * w
     if numerator <= 0 or numerator % (3 + w):
-        raise MalformedPartitioning(f"no node count matches a {b.length}-bit block for n={n}")
+        raise MalformedPartitioning(f"no node count matches a {length}-bit block for n={n}")
     t = numerator // (3 + w)
     if t < 1 or t > n:
         raise MalformedPartitioning(f"implied node count {t} out of range")
-    reader = BitReader(b)
+    s = b.to01()
+    pos = 2 * (t - 1)  # the length formula leaves room for the tree walk
     try:
-        tree = decode_tree(reader.read_bits(2 * (t - 1)))
-    except (BitUnderflow, MalformedTreeEncoding) as exc:
+        tree = _unwalk(s[:pos])  # a walk that passes has 2(t-1) steps, so t nodes
+    except MalformedTreeEncoding as exc:
         raise MalformedPartitioning(f"bad tree block: {exc}") from exc
-    if tree.node_count != t:
-        raise MalformedPartitioning("tree block does not match implied node count")
+    wmask = (1 << w) - 1
     bags = []
     seen = 0
-    try:
-        for _ in range(t):
-            kind = reader.read(1)
-            cnt = reader.read(w)
-            if cnt == 0:
-                raise MalformedPartitioning("empty bag")
-            ids = [reader.read(w) for _ in range(cnt)]
-            for v in ids:
-                if not 1 <= v <= n:
-                    raise MalformedPartitioning(f"member id {v} out of range")
-                if seen >> (v - 1) & 1:
-                    raise MalformedPartitioning(f"member id {v} appears twice")
-                seen |= 1 << (v - 1)
-            if kind == 1:
-                if cnt != 3:
-                    raise MalformedPartitioning("P3 bag without exactly 3 members")
-                if ids[0] > ids[2]:
-                    raise MalformedPartitioning("P3 order must start at the lower endpoint")
-                bags.append(Bag(frozenset(ids), P3, tuple(ids)))
-            else:
-                if ids != sorted(ids):
-                    raise MalformedPartitioning("clique members not ascending")
-                bags.append(Bag(frozenset(ids), CLIQUE))
-    except BitUnderflow as exc:
-        raise MalformedPartitioning("short read") from exc
-    except ValueError as exc:
-        raise MalformedPartitioning(str(exc)) from exc
-    if not reader.exhausted():
+    for _ in range(t):
+        start = pos + 1 + w
+        if start > length:
+            raise MalformedPartitioning("short read")
+        kind = s[pos]
+        cnt = int(s[pos + 1 : start], 2)
+        if cnt == 0:
+            raise MalformedPartitioning("empty bag")
+        pos = start + cnt * w
+        if pos > length:
+            raise MalformedPartitioning("short read")
+        chunk = int(s[start:pos], 2)  # the member ids, first one highest
+        ids = []
+        for shift in range(pos - start - w, -1, -w):
+            v = chunk >> shift & wmask
+            if not 1 <= v <= n:
+                raise MalformedPartitioning(f"member id {v} out of range")
+            bit = 1 << (v - 1)
+            if seen & bit:
+                raise MalformedPartitioning(f"member id {v} appears twice")
+            seen |= bit
+            ids.append(v)
+        if kind == "1":
+            if cnt != 3:
+                raise MalformedPartitioning("P3 bag without exactly 3 members")
+            if ids[0] > ids[2]:
+                raise MalformedPartitioning("P3 order must start at the lower endpoint")
+            bags.append(Bag(frozenset(ids), P3, tuple(ids)))
+        else:
+            if ids != sorted(ids):
+                raise MalformedPartitioning("clique members not ascending")
+            bags.append(Bag(frozenset(ids), CLIQUE))
+    if pos != length:
         raise MalformedPartitioning("leftover bits after last bag")
     if seen != (1 << n) - 1:
         raise MalformedPartitioning("bags do not cover 1..n")
@@ -183,46 +207,68 @@ class EncodedCertificate:
     pieces_part: tuple[NeighborhoodRow, ...]
 
 
+def _does_not_fit(value: int, width: int) -> MalformedCertificate:
+    return MalformedCertificate(f"field does not fit: {value} does not fit in {width} bits")
+
+
 def encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
     if cert.n != n:
         raise MalformedCertificate("certificate built for a different n")
     w = idwidth(n)
-    out = BitWriter()
-    try:
-        out.push(cert.neighbors_part, n)
-        out.push(cert.partitioning_part.length, plen_width(n))
-        out.push_bits(cert.partitioning_part)
-        out.push(len(cert.pieces_part), w)
-        for entry in cert.pieces_part:
-            out.push(entry.owner, w)
-            out.push(entry.row, n)
-    except ValueError as exc:
-        raise MalformedCertificate(f"field does not fit: {exc}") from exc
-    return out.result()
+    pw = 2 * w + 3  # plen_width(n)
+    row, block, pieces = cert.neighbors_part, cert.partitioning_part, cert.pieces_part
+    plen = block.length
+    if row < 0 or row >> n:
+        raise _does_not_fit(row, n)
+    if plen >> pw:
+        raise _does_not_fit(plen, pw)
+    if len(pieces) >> w:
+        raise _does_not_fit(len(pieces), w)
+    tail = len(pieces)
+    for e in pieces:
+        if e.owner >> w:
+            raise _does_not_fit(e.owner, w)
+        if e.row < 0 or e.row >> n:
+            raise _does_not_fit(e.row, n)
+        tail = (tail << w | e.owner) << n | e.row
+    tail_len = w + len(pieces) * (w + n)
+    head = row << pw | plen
+    return Bits((head << plen | block.value) << tail_len | tail, n + pw + plen + tail_len)
 
 
 def decode_certificate(b: Bits, n: int) -> EncodedCertificate:
     w = idwidth(n)
-    reader = BitReader(b)
-    try:
-        neighbors = reader.read(n)
-        plen = reader.read(plen_width(n))
-        partitioning = reader.read_bits(plen)
-        cnt = reader.read(w)
-        pieces = []
-        for _ in range(cnt):
-            owner = reader.read(w)
-            row = reader.read(n)
-            if not 1 <= owner <= n:
-                raise MalformedCertificate(f"pieces owner {owner} out of range")
-            if row >> (owner - 1) & 1:
-                raise MalformedCertificate(f"pieces row of {owner} claims a self loop")
-            pieces.append(NeighborhoodRow(owner, row))
-    except BitUnderflow as exc:
-        raise MalformedCertificate("short read") from exc
-    if not reader.exhausted():
+    pw = 2 * w + 3  # plen_width(n)
+    value, length = b.value, b.length
+    head_len = n + pw
+    if length < head_len:
+        raise MalformedCertificate("short read")
+    head = value >> (length - head_len)
+    plen = head & ((1 << pw) - 1)
+    tail_len = length - head_len - plen
+    if tail_len < w:  # no room for the block and the entry count
+        raise MalformedCertificate("short read")
+    partitioning = Bits(value >> tail_len & ((1 << plen) - 1), plen)
+    tail = value & ((1 << tail_len) - 1)
+    rest = tail_len - w  # bits after the count
+    cnt = tail >> rest
+    size = w + n
+    wmask, nmask = (1 << w) - 1, (1 << n) - 1
+    pieces = []
+    for i in range(1, min(cnt, rest // size) + 1):  # the entries wholly present
+        pos = rest - i * size
+        owner = tail >> (pos + n) & wmask
+        row = tail >> pos & nmask
+        if not 1 <= owner <= n:
+            raise MalformedCertificate(f"pieces owner {owner} out of range")
+        if row >> (owner - 1) & 1:
+            raise MalformedCertificate(f"pieces row of {owner} claims a self loop")
+        pieces.append(NeighborhoodRow(owner, row))
+    if cnt * size > rest:
+        raise MalformedCertificate("short read")
+    if cnt * size < rest:
         raise MalformedCertificate("trailing bits")
-    return EncodedCertificate(n, neighbors, partitioning, tuple(pieces))
+    return EncodedCertificate(n, head >> pw, partitioning, tuple(pieces))
 
 
 # --- certificate file format --------------------------------------------

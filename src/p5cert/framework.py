@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bits import Bits
-from .errors import MissingCertificate, ProverFailed
+from .errors import CertificateFormatError, MissingCertificate, ProverFailed
 from .graphs import Graph, require_connected
 
 # A certificate assignment maps every vertex id in 1..n to raw certificate
@@ -96,6 +96,10 @@ def total_cert_bits(certs: CertificateAssignment) -> int:
 def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None) -> RunReport:
     """Prove (unless certificates are supplied) and verify at every vertex.
 
+    Supplied certificates must be exactly one per vertex 1..n:
+    ``MissingCertificate`` names the first vertex without one, and
+    ``CertificateFormatError`` the first id outside 1..n.
+
     The scheme's batch verifier, if it has one, judges the whole assignment;
     otherwise its verifier judges each vertex's view.  Both give the same
     verdicts.
@@ -109,6 +113,9 @@ def run(g: Graph, scheme: Scheme, certs: Optional[CertificateAssignment] = None)
     for v in g.vertices():
         if v not in certs:
             raise MissingCertificate(f"no certificate for vertex {v}")
+    if len(certs) != g.n:
+        extra = min(v for v in certs if not 1 <= v <= g.n)
+        raise CertificateFormatError(f"certificate for vertex {extra}, outside 1..{g.n}")
     if scheme.batch_verifier is None:
         verdicts = {v: scheme.verifier(local_view(g, certs, v)) for v in g.vertices()}
     else:

@@ -139,23 +139,33 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         tp = decode_partitioning(part_bits, n)
     except MalformedPartitioning:
         return None
-    tree = tp.tree
-    t = tree.node_count
+    # the decoder numbers nodes in preorder: node 0 is the root, and every
+    # parent comes before its children
+    parent = tp.tree.parent
+    t = len(parent)
     members_mask = tuple(bag.mask for bag in tp.bags)
-    subtree = tp.subtree_masks()
+    subtree = list(members_mask)
+    for node in range(t - 1, 0, -1):
+        subtree[parent[node]] |= subtree[node]
 
     full = (1 << n) - 1
     above = [0] * t  # vertex mask of the strict ancestors' bags
     strict_anc: list[tuple[int, ...]] = [()] * t
+    node_of = [0] * (n + 1)
     cross_nonedge = [0] * (n + 1)
-    for node in tree.preorder():
-        p = tree.parent[node]
-        if p is not None:
+    for node in range(t):
+        if node:
+            p = parent[node]
             above[node] = above[p] | members_mask[p]
             strict_anc[node] = strict_anc[p] + (p,)
         other = full & ~above[node] & ~subtree[node]
-        for v in iter_bits(members_mask[node]):
+        m = members_mask[node]
+        while m:
+            low = m & -m
+            v = low.bit_length()
+            node_of[v] = node
             cross_nonedge[v] = other
+            m ^= low
 
     intra_edge = [0] * (n + 1)
     intra_nonedge = [0] * (n + 1)
@@ -168,15 +178,17 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
             intra_nonedge[a] |= 1 << (c - 1)
             intra_nonedge[c] |= 1 << (a - 1)
         else:
-            m = bag.mask
-            for v in iter_bits(m):
-                intra_edge[v] |= m & ~(1 << (v - 1))
+            m = rest = bag.mask
+            while rest:
+                low = rest & -rest
+                intra_edge[low.bit_length()] |= m ^ low
+                rest ^= low
 
     return PartitionIndex(
         tp=tp,
-        node_of=tp.node_of(),
+        node_of=tuple(node_of),
         members_mask=members_mask,
-        subtree_mask=subtree,
+        subtree_mask=tuple(subtree),
         strict_ancestors=tuple(strict_anc),
         intra_edge=tuple(intra_edge),
         intra_nonedge=tuple(intra_nonedge),
@@ -409,23 +421,42 @@ def _has_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> bo
     a known non-edge.
     """
     alive, edge, nonedge = _drop_twins(edge, nonedge, n)
-    for c in iter_bits(alive):
-        e_c, ne_c = edge[c], nonedge[c]
+    # every loop takes the lowest set bit first, the order of iter_bits
+    cs = alive
+    while cs:
+        low = cs & -cs
+        cs ^= low
+        c = low.bit_length()
+        ne_c = nonedge[c]
         # b and d need a neighbor that is a known non-neighbor of c
         ends = 0
-        for b in iter_bits(e_c):
-            if edge[b] & ne_c:
-                ends |= 1 << (b - 1)
-        for b in iter_bits(ends):
+        m = edge[c]
+        while m:
+            low = m & -m
+            m ^= low
+            if edge[low.bit_length()] & ne_c:
+                ends |= low
+        bs = ends
+        while bs:
+            low = bs & -bs
+            bs ^= low
+            b = low.bit_length()
             a_side = edge[b] & ne_c
             ne_b = nonedge[b]
             # d > b only: reversing a path keeps its centre and swaps b with
             # d, so every path is met once in this orientation
-            for d in iter_bits(ends & ne_b >> b << b):
+            ds = bs & ne_b
+            while ds:
+                low = ds & -ds
+                ds ^= low
+                d = low.bit_length()
                 e_side = edge[d] & ne_c & ne_b
                 if e_side:
-                    for a in iter_bits(a_side & nonedge[d]):
-                        if nonedge[a] & e_side:
+                    cands = a_side & nonedge[d]
+                    while cands:
+                        low = cands & -cands
+                        cands ^= low
+                        if nonedge[low.bit_length()] & e_side:
                             return True
     return False
 

@@ -11,7 +11,7 @@ used as a P5-freeness test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NoDominatingStructure
@@ -37,6 +37,7 @@ class Bag:
     members: frozenset[int]
     kind: str
     p3_order: Optional[tuple[int, int, int]] = None
+    mask: int = field(init=False, repr=False, compare=False)  # of the members
 
     def __post_init__(self):
         if not self.members:
@@ -51,10 +52,7 @@ class Bag:
                 raise ValueError("p3 order must start at the lower-id endpoint")
         elif self.p3_order is not None:
             raise ValueError("clique bag carries no p3 order")
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.members)
+        object.__setattr__(self, "mask", mask_of(self.members))
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -74,12 +72,14 @@ class RootedTree:
         roots = [i for i, p in enumerate(self.parent) if p is None]
         if len(roots) != 1:
             raise ValueError("tree must have exactly one root")
+        listed = set()  # every child entry k, each in children[parent[k]]
         for i, kids in enumerate(self.children):
             for k in kids:
                 if not (0 <= k < t) or self.parent[k] != i:
                     raise ValueError("children inconsistent with parents")
+            listed.update(kids)
         for i, p in enumerate(self.parent):
-            if p is not None and i not in self.children[p]:
+            if p is not None and i not in listed:
                 raise ValueError("parent without matching child entry")
         if len(list(self.preorder())) != t:
             raise ValueError("not all nodes reachable from the root")

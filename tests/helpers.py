@@ -3,7 +3,15 @@
 import itertools
 import random
 
-from p5cert.errors import GenerationBudgetExceeded, OutOfRangeVertex
+from p5cert.bits import BitReader, Bits, BitUnderflow, BitWriter
+from p5cert.codec import EncodedCertificate, NeighborhoodRow, idwidth, plen_width
+from p5cert.errors import (
+    GenerationBudgetExceeded,
+    MalformedCertificate,
+    MalformedPartitioning,
+    MalformedTreeEncoding,
+    OutOfRangeVertex,
+)
 from p5cert.graphs import (
     Graph,
     as_induced_p3,
@@ -620,3 +628,214 @@ def reference_generate(spec) -> Graph:
         if find_induced_path(g) is not None:
             return g
     raise GenerationBudgetExceeded(f"no graph with an induced 5-path found for n={n}, p={p}")
+
+
+# --- the codec and partition index as they read fields through BitReader ----
+
+
+def reference_encode_tree(tree: RootedTree) -> Bits:
+    """Depth-first 0=down / 1=up encoding; 2*(node count - 1) bits."""
+    w = BitWriter()
+    stack = [(tree.root, 0)]
+    while stack:
+        node, next_child = stack.pop()
+        kids = tree.children[node]
+        if next_child < len(kids):
+            stack.append((node, next_child + 1))
+            w.push(0, 1)
+            stack.append((kids[next_child], 0))
+        elif stack:
+            w.push(1, 1)
+    return w.result()
+
+
+def reference_decode_tree(b: Bits) -> RootedTree:
+    """Inverse of ``encode_tree``; nodes come out numbered in preorder."""
+    parents: list[int | None] = [None]
+    children: list[list[int]] = [[]]
+    cur = 0
+    for i in range(b.length):
+        if b.bit(i) == 0:
+            node = len(parents)
+            parents.append(cur)
+            children.append([])
+            children[cur].append(node)
+            cur = node
+        else:
+            up = parents[cur]
+            if up is None:
+                raise MalformedTreeEncoding("more up-edges than down-edges")
+            cur = up
+    if cur != 0:
+        raise MalformedTreeEncoding("walk does not return to the root")
+    return RootedTree(tuple(parents), tuple(tuple(k) for k in children))
+
+
+def reference_encode_partitioning(tp: TreePartition, n: int) -> Bits:
+    if tp.n != n:
+        raise ValueError(f"partition of 1..{tp.n} cannot be encoded for n={n}")
+    w = idwidth(n)
+    out = BitWriter()
+    out.push_bits(reference_encode_tree(tp.tree))
+    for node in tp.tree.preorder():
+        bag = tp.bags[node]
+        out.push(1 if bag.kind == P3 else 0, 1)
+        out.push(len(bag.members), w)
+        ids = bag.p3_order if bag.kind == P3 else bag.sorted_members()
+        for v in ids:
+            out.push(v, w)
+    return out.result()
+
+
+def reference_decode_partitioning(b: Bits, n: int) -> TreePartition:
+    """Strict inverse of ``encode_partitioning``.
+
+    Validates structural well-formedness and that the bags partition 1..n;
+    whether the partition is valid for any particular graph is the
+    verifier's business, not the decoder's.
+    """
+    w = idwidth(n)
+    numerator = b.length + 2 - n * w
+    if numerator <= 0 or numerator % (3 + w):
+        raise MalformedPartitioning(f"no node count matches a {b.length}-bit block for n={n}")
+    t = numerator // (3 + w)
+    if t < 1 or t > n:
+        raise MalformedPartitioning(f"implied node count {t} out of range")
+    reader = BitReader(b)
+    try:
+        tree = reference_decode_tree(reader.read_bits(2 * (t - 1)))
+    except (BitUnderflow, MalformedTreeEncoding) as exc:
+        raise MalformedPartitioning(f"bad tree block: {exc}") from exc
+    if tree.node_count != t:
+        raise MalformedPartitioning("tree block does not match implied node count")
+    bags = []
+    seen = 0
+    try:
+        for _ in range(t):
+            kind = reader.read(1)
+            cnt = reader.read(w)
+            if cnt == 0:
+                raise MalformedPartitioning("empty bag")
+            ids = [reader.read(w) for _ in range(cnt)]
+            for v in ids:
+                if not 1 <= v <= n:
+                    raise MalformedPartitioning(f"member id {v} out of range")
+                if seen >> (v - 1) & 1:
+                    raise MalformedPartitioning(f"member id {v} appears twice")
+                seen |= 1 << (v - 1)
+            if kind == 1:
+                if cnt != 3:
+                    raise MalformedPartitioning("P3 bag without exactly 3 members")
+                if ids[0] > ids[2]:
+                    raise MalformedPartitioning("P3 order must start at the lower endpoint")
+                bags.append(Bag(frozenset(ids), P3, tuple(ids)))
+            else:
+                if ids != sorted(ids):
+                    raise MalformedPartitioning("clique members not ascending")
+                bags.append(Bag(frozenset(ids), CLIQUE))
+    except BitUnderflow as exc:
+        raise MalformedPartitioning("short read") from exc
+    except ValueError as exc:
+        raise MalformedPartitioning(str(exc)) from exc
+    if not reader.exhausted():
+        raise MalformedPartitioning("leftover bits after last bag")
+    if seen != (1 << n) - 1:
+        raise MalformedPartitioning("bags do not cover 1..n")
+    # decode_tree numbers nodes in preorder, so bag i belongs to node i
+    return TreePartition(n, tree, tuple(bags))
+
+
+def reference_encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
+    if cert.n != n:
+        raise MalformedCertificate("certificate built for a different n")
+    w = idwidth(n)
+    out = BitWriter()
+    try:
+        out.push(cert.neighbors_part, n)
+        out.push(cert.partitioning_part.length, plen_width(n))
+        out.push_bits(cert.partitioning_part)
+        out.push(len(cert.pieces_part), w)
+        for entry in cert.pieces_part:
+            out.push(entry.owner, w)
+            out.push(entry.row, n)
+    except ValueError as exc:
+        raise MalformedCertificate(f"field does not fit: {exc}") from exc
+    return out.result()
+
+
+def reference_decode_certificate(b: Bits, n: int) -> EncodedCertificate:
+    w = idwidth(n)
+    reader = BitReader(b)
+    try:
+        neighbors = reader.read(n)
+        plen = reader.read(plen_width(n))
+        partitioning = reader.read_bits(plen)
+        cnt = reader.read(w)
+        pieces = []
+        for _ in range(cnt):
+            owner = reader.read(w)
+            row = reader.read(n)
+            if not 1 <= owner <= n:
+                raise MalformedCertificate(f"pieces owner {owner} out of range")
+            if row >> (owner - 1) & 1:
+                raise MalformedCertificate(f"pieces row of {owner} claims a self loop")
+            pieces.append(NeighborhoodRow(owner, row))
+    except BitUnderflow as exc:
+        raise MalformedCertificate("short read") from exc
+    if not reader.exhausted():
+        raise MalformedCertificate("trailing bits")
+    return EncodedCertificate(n, neighbors, partitioning, tuple(pieces))
+
+
+def reference_partition_index(part_bits: Bits, n: int):
+    """``p5free._partition_index`` over ``tree.preorder()`` and
+    ``subtree_masks()``, without its cache; oracle."""
+    from p5cert.p5free import PartitionIndex
+
+    try:
+        tp = reference_decode_partitioning(part_bits, n)
+    except MalformedPartitioning:
+        return None
+    tree = tp.tree
+    t = tree.node_count
+    members_mask = tuple(bag.mask for bag in tp.bags)
+    subtree = tp.subtree_masks()
+
+    full = (1 << n) - 1
+    above = [0] * t  # vertex mask of the strict ancestors' bags
+    strict_anc: list[tuple[int, ...]] = [()] * t
+    cross_nonedge = [0] * (n + 1)
+    for node in tree.preorder():
+        p = tree.parent[node]
+        if p is not None:
+            above[node] = above[p] | members_mask[p]
+            strict_anc[node] = strict_anc[p] + (p,)
+        other = full & ~above[node] & ~subtree[node]
+        for v in iter_bits(members_mask[node]):
+            cross_nonedge[v] = other
+
+    intra_edge = [0] * (n + 1)
+    intra_nonedge = [0] * (n + 1)
+    for bag in tp.bags:
+        if bag.kind == P3:
+            a, b, c = bag.p3_order
+            intra_edge[a] |= 1 << (b - 1)
+            intra_edge[b] |= (1 << (a - 1)) | (1 << (c - 1))
+            intra_edge[c] |= 1 << (b - 1)
+            intra_nonedge[a] |= 1 << (c - 1)
+            intra_nonedge[c] |= 1 << (a - 1)
+        else:
+            m = bag.mask
+            for v in iter_bits(m):
+                intra_edge[v] |= m & ~(1 << (v - 1))
+
+    return PartitionIndex(
+        tp=tp,
+        node_of=tp.node_of(),
+        members_mask=members_mask,
+        subtree_mask=subtree,
+        strict_ancestors=tuple(strict_anc),
+        intra_edge=tuple(intra_edge),
+        intra_nonedge=tuple(intra_nonedge),
+        cross_nonedge=tuple(cross_nonedge),
+    )

@@ -82,6 +82,22 @@ def test_verify_truncated_certificates(tmp_path, capsys, p5_graph):
     assert code == 2 and "MissingCertificate" in err
 
 
+def test_run_certificates_for_ids_outside_the_graph(tmp_path, capsys, corpus_graphs):
+    # the small graph's own certificates plus lines for ids 6..8, taken from
+    # a larger graph's file: malformed input, exit 2, no ratio line
+    small = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    graph_file = tmp_path / "small.graph"
+    graph_file.write_text(pc.write_graph(small))
+    big = next(g for _, g in corpus_graphs if g.n >= 8)
+    mixed = {**{v: b for v, b in pc.prove(big).items() if 6 <= v <= 8}, **pc.prove(small)}
+    cert_file = tmp_path / "mixed.certs"
+    cert_file.write_text(pc.write_certificates(mixed))
+    for cmd in (["run", str(graph_file), "--certs", str(cert_file)], ["verify", str(graph_file), str(cert_file)]):
+        code, out, err = run_cli(capsys, *cmd)
+        assert code == 2, (cmd, out, err)
+        assert out == "" and "CertificateFormatError" in err and "vertex 6, outside 1..5" in err
+
+
 def test_malformed_graph_file(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("p 3 5\ne 1 2\n")

@@ -3,7 +3,7 @@ import pytest
 import p5cert as pc
 from p5cert.bits import Bits
 from p5cert.cli import get_scheme
-from p5cert.errors import DisconnectedInput, MissingCertificate, ProverFailed
+from p5cert.errors import CertificateFormatError, DisconnectedInput, MissingCertificate, ProverFailed
 from p5cert.framework import format_run_report, local_view, total_cert_bits
 from p5cert.p5free import scheme
 
@@ -115,3 +115,19 @@ def test_run_missing_certificate(name):
     del certs[4]
     with pytest.raises(MissingCertificate):
         pc.run(c5, sch, certs)
+
+
+@pytest.mark.parametrize("name", ["p5", "kk:3"])
+def test_run_refuses_certificates_outside_1_to_n(name):
+    # a certificate for an id the graph does not have is malformed input,
+    # not a larger certificate to count in max_cert_bits
+    c5 = pc.build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    sch = get_scheme(name)
+    certs = sch.prover(c5)
+    extra = {**certs, 8: Bits.from01("1" * 200), 6: certs[1], 0: certs[2]}
+    with pytest.raises(CertificateFormatError, match=r"certificate for vertex 0, outside 1\.\.5"):
+        pc.run(c5, sch, extra)
+    del extra[0]
+    with pytest.raises(CertificateFormatError, match=r"vertex 6, outside"):
+        pc.run(c5, sch, extra)
+    assert pc.run(c5, sch, certs).all_accept

@@ -440,6 +440,23 @@ def test_find_known_p5_matches_reference_on_twin_rich_maps():
     assert outcomes["free"] > 1000 and outcomes["p5, twins removed"] > 100 and outcomes["removed"] > 3000, outcomes
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("split", n, 0.5, seed) for n, seed in ((80, 6), (128, 1), (160, 2))]
+    + [GeneratorSpec("cograph", n, 0.5, 1) for n in (80, 128, 192, 256)]
+    + [GeneratorSpec("with-p5", n, p, seed) for n, p, seed in ((24, 0.3, 1), (64, 0.2, 2), (128, 0.1, 3), (256, 0.05, 4))],
+    ids=lambda spec: f"{spec.family}-{spec.n}-{spec.seed}",
+)
+def test_find_known_p5_matches_reference_on_full_maps(spec):
+    # the full maps step (v) searches once per honest run (split, cograph),
+    # and maps that hold a 5-path, where the search stops early
+    km = full_knowledge_map(pc.generate(spec))
+    want = reference_find_p5_known(km.edge, km.nonedge, km.n)
+    assert (want is None) == (spec.family != "with-p5")
+    assert p5free._has_p5_known(km.edge, km.nonedge, km.n) == (want is not None)
+    assert pc.find_known_induced_p5(km) == want
+
+
 def map_of(n, edges, unknown=(), self_bits=()):
     """Full map of the graph on 1..n with ``edges``, but for the ``unknown``
     pairs, with self bits in E at ``self_bits``."""
