@@ -12,7 +12,7 @@ used as a P5-freeness test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import NoDominatingStructure
 from .graphs import (
@@ -154,6 +154,11 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
     dominate, so every stage returns the same lexicographically first
     structure as a scan over all pairs.
 
+    Every dominating set meets N[w0] for each w0 in ``comp``, as it must
+    dominate w0.  So each triple stage first asks only the y in N[w0], for
+    the w0 with the fewest neighbours, whether a dominating triple holds y
+    (``_has_dominating_triple``), and walks its lowest members only if one does.
+
     The singleton and edge stages find their last member by witness
     narrowing (``_first_cover``): test the lowest candidate c, and if it
     misses some vertex r, keep only the candidates in N[r].  This is
@@ -182,11 +187,10 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
 
     # the anchors of the triples, fewest neighbours in comp first
     order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
-    found = _first_dominating_triple(adj, comp, order, True)
-    if found is not None:
-        return Bag(frozenset(found), CLIQUE)
-    found = _first_dominating_triple(adj, comp, order, False)
-    if found is not None:
+    if _has_dominating_triple(adj, comp, order, True):
+        return Bag(frozenset(_first_dominating_triple(adj, comp, order, True)), CLIQUE)
+    if _has_dominating_triple(adj, comp, order, False):
+        found = _first_dominating_triple(adj, comp, order, False)
         return Bag(frozenset(found), P3, as_induced_p3(g, found))
 
     # maximal cliques, Bron-Kerbosch with pivot, iterative
@@ -209,54 +213,87 @@ def _first_cover(adj: tuple[int, ...], cands: int, left: int) -> int:
     return 0
 
 
+def _pairs(
+    adj: tuple[int, ...], comp: int, order: list[int], y: int, pool: int, triangle: bool
+) -> Iterator[tuple[int, int]]:
+    """Pairs b < c of ``pool`` completing a dominating triple with y.
+
+    The triple is a triangle, or has exactly two edges.  Let the anchor w
+    be the first vertex of ``order`` in rest_y = comp - N[y]: the member
+    meeting N[w] runs over N[w] & pool, and the third member must cover
+    what it leaves of rest_y.  Each such member is paired with its lowest
+    third member, so the least pair yielded is the lexicographically first.
+    """
+    ay = adj[y]
+    rest = comp & ~(ay | 1 << (y - 1))
+    # the anchor; rest is never empty, since no singleton dominates comp
+    for w in order:
+        if (rest >> (w - 1)) & 1:
+            break
+    bs = (adj[w] | 1 << (w - 1)) & pool
+    while bs:
+        bb = bs & -bs
+        bs ^= bb
+        b = bb.bit_length()
+        ab = adj[b]
+        if triangle:
+            cands = pool & ab
+        elif ay & bb:
+            # exactly two of the three pairs must be edges
+            cands = pool & (ay ^ ab) & ~bb
+        else:
+            cands = pool & ay & ab
+        left = rest & ~(ab | bb)
+        # witness narrowing (_first_cover) was tried here and was
+        # slower (split n=512 seed 2, CPython 3.11: 0.094 -> 0.149 s): the
+        # stage's cost is the walk over second members b, not this loop
+        while left and cands:
+            low = left & -left
+            cands &= adj[low.bit_length()] | low
+            left ^= low
+        if cands:
+            c = (cands & -cands).bit_length()
+            yield (c, b) if c < b else (b, c)
+
+
+def _has_dominating_triple(
+    adj: tuple[int, ...], comp: int, order: list[int], triangle: bool
+) -> bool:
+    """Whether comp has a dominating triangle (or induced P3) at all.
+
+    Every dominating set meets N[w0] for w0 = ``order[0]``, so only the y
+    in N[w0] are tried, the most connected first (the likeliest members).
+    As in the walk over lowest members, a tried y is no partner for the
+    later ones: a triple holding it would have been found with it.
+    """
+    w0 = order[0]
+    near = adj[w0] | 1 << (w0 - 1)
+    m = comp
+    for y in reversed(order):
+        yb = 1 << (y - 1)
+        if near & yb:
+            m ^= yb
+            pool = adj[y] & m if triangle else m
+            if any(_pairs(adj, comp, order, y, pool, triangle)):
+                return True
+    return False
+
+
 def _first_dominating_triple(
     adj: tuple[int, ...], comp: int, order: list[int], triangle: bool
 ) -> Optional[tuple[int, int, int]]:
     """Lexicographically first dominating triangle (or induced P3) of comp.
 
-    For the lowest member x, the anchor w is the first vertex of ``order``
-    in rest_x (never empty, since no singleton dominates); the member b
-    meeting N[w] runs over N[w] & pool, and the third member c must cover
-    rest_x - N[b].
+    The lowest member x runs over comp; the other two come from the
+    members of comp above x (neighbours of x, for a triangle).
     """
     m = comp
     while m:
         xb = m & -m
         m ^= xb
         x = xb.bit_length()
-        ax = adj[x]
-        pool = ax & m if triangle else m
-        rest = comp & ~(ax | xb)
-        for w in order:
-            if (rest >> (w - 1)) & 1:
-                break
-        bs = (adj[w] | (1 << (w - 1))) & pool
-        pair = None
-        while bs:
-            bb = bs & -bs
-            bs ^= bb
-            b = bb.bit_length()
-            ab = adj[b]
-            if triangle:
-                cands = pool & ab
-            elif ax & bb:
-                # exactly two of the three pairs must be edges
-                cands = pool & (ax ^ ab) & ~bb
-            else:
-                cands = pool & ax & ab
-            left = rest & ~(ab | bb)
-            # witness narrowing (_first_cover) was tried here and was
-            # slower (split n=512 seed 2, CPython 3.11: 0.094 -> 0.149 s): the
-            # stage's cost is the walk over second members b, not this loop
-            while left and cands:
-                low = left & -left
-                cands &= adj[low.bit_length()] | low
-                left ^= low
-            if cands:
-                c = (cands & -cands).bit_length()
-                cand = (c, b) if c < b else (b, c)
-                if pair is None or cand < pair:
-                    pair = cand
+        pool = adj[x] & m if triangle else m
+        pair = min(_pairs(adj, comp, order, x, pool, triangle), default=None)
         if pair is not None:
             return (x,) + pair
     return None

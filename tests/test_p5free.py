@@ -314,6 +314,16 @@ def test_golden_digest_prove_certificates_cograph_1024():
     assert h.hexdigest() == "416595f6ea5c9818fbd40aa82aa2b2437d26cffef1e5ed9d3ebbdce70025d14d"
 
 
+def test_golden_digest_prove_certificates_split_1024():
+    # certificate bytes at the headline size, where the triple stages are
+    # refuted before their walk over lowest members
+    h = hashlib.sha256()
+    for seed in (1, 3, 5):
+        g = pc.generate(GeneratorSpec("split", 1024, 0.5, seed))
+        h.update(pc.write_certificates(pc.prove(g)).encode())
+    assert h.hexdigest() == "e83d337e736d95a44abc6a993ad2c0d6ce39c9e8ad01cc15b6aff83f77db6355"
+
+
 def test_knowledge_soundness_on_corpus_sample(corpus_graphs):
     for _, g in corpus_graphs[:6]:
         certs = pc.prove(g)

@@ -5,7 +5,7 @@ import pytest
 
 import p5cert as pc
 from p5cert.errors import DisconnectedInput, NoDominatingStructure
-from p5cert.graphs import build_graph, component_masks
+from p5cert.graphs import build_graph, component_masks, iter_bits
 from p5cert.harness import FAMILIES, GeneratorSpec
 from p5cert.treepart import (
     CLIQUE,
@@ -14,6 +14,8 @@ from p5cert.treepart import (
     RootedTree,
     TreePartition,
     Violation,
+    _first_dominating_triple,
+    _has_dominating_triple,
     find_dominating_structure_in,
     format_tree_partition,
 )
@@ -83,9 +85,9 @@ def _clique_with_private_neighbours(rng):
     return build_graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
 
 
-def test_dominating_structure_matches_reference_on_random_submasks():
+def _random_submask_components():
+    # components of random vertex subsets of random graphs, seeded
     rng = random.Random(404)
-    seen = Counter()
     for i in range(3000):
         if i % 2:
             g = random_graph(rng.randint(1, 14), rng.choice([0.15, 0.25, 0.35, 0.5, 0.7, 0.85]), rng)
@@ -93,9 +95,15 @@ def test_dominating_structure_matches_reference_on_random_submasks():
             g = _clique_with_private_neighbours(rng)
         sub = g.full_mask if rng.random() < 0.5 else rng.getrandbits(g.n) | 1 << rng.randrange(g.n)
         for comp in component_masks(g, sub):
-            got = find_dominating_structure_in(g, comp)
-            assert got == reference_dominating_structure(g, comp), (g.adj, comp)
-            seen[_outcome(got)] += 1
+            yield g, comp
+
+
+def test_dominating_structure_matches_reference_on_random_submasks():
+    seen = Counter()
+    for g, comp in _random_submask_components():
+        got = find_dominating_structure_in(g, comp)
+        assert got == reference_dominating_structure(g, comp), (g.adj, comp)
+        seen[_outcome(got)] += 1
     for outcome in ("singleton", "edge", "triangle", "p3", "maximal clique", "none"):
         assert seen[outcome] >= 150, seen
 
@@ -135,6 +143,44 @@ def test_dominating_structure_matches_reference_on_large_build_steps():
                 stack.extend(component_masks(g, comp & ~got.mask))
     for outcome in ("singleton", "edge", "triangle"):
         assert seen[outcome] >= 40, seen
+
+
+def test_triple_existence_matches_search_and_reference(connected_graphs):
+    # the refutation that runs before each triple stage, on every component
+    # where no singleton or edge dominates: all connected graphs with n <= 6,
+    # random submasks, and the triple-stage components of split n=512
+    cases = [(g, g.full_mask) for n in range(1, 7) for g in connected_graphs[n]]
+    cases += _random_submask_components()
+    for seed in (1, 2, 3):
+        g = pc.generate(GeneratorSpec("split", 512, 0.5, seed))
+        stack = [g.full_mask]
+        while stack:
+            comp = stack.pop()
+            got = find_dominating_structure_in(g, comp)
+            if _outcome(got) not in ("singleton", "edge"):
+                cases.append((g, comp))
+            stack.extend(component_masks(g, comp & ~got.mask))
+    seen = Counter()
+    for g, comp in cases:
+        want = _outcome(reference_dominating_structure(g, comp))
+        if want in ("singleton", "edge"):
+            continue
+        adj = g.adj
+        order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
+        for shape, triangle in (("triangle", True), ("p3", False)):
+            has = _has_dominating_triple(adj, comp, order, triangle)
+            first = _first_dominating_triple(adj, comp, order, triangle)
+            assert has == (first is not None), (shape, g.adj, comp)
+            # the reference names a P3 only where no triangle dominates
+            if triangle or want != "triangle":
+                assert has == (want == shape), (shape, want, g.adj, comp)
+            seen[shape, has] += 1
+    floors = {
+        ("triangle", False): 5000, ("triangle", True): 700,
+        ("p3", False): 1200, ("p3", True): 4500,
+    }
+    for key, floor in floors.items():
+        assert seen[key] >= floor, seen
 
 
 @pytest.mark.parametrize("k", range(3, 9))
