@@ -48,6 +48,27 @@ def get_scheme(name: str) -> Scheme:
     raise ValueError(f"unknown scheme {name!r}; choose p5, universal-p5, stree-n or kk:<k>")
 
 
+def _scheme_name(name: str) -> str:
+    """argparse type of --scheme: the k of kk:<k> must be an integer."""
+    if name.startswith("kk:"):
+        try:
+            int(name.split(":", 1)[1])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"kk:<k> needs an integer k, got {name!r}") from None
+    return name
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type of --sizes: comma-separated positive integers."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+        if min(sizes) >= 1:
+            return sizes
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+
+
 def _load_graph(path: str):
     return parse_graph(Path(path).read_text())
 
@@ -114,8 +135,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows, constant = harness.measure_scaling(sizes, args.family, args.seed, args.p)
+    rows, constant = harness.measure_scaling(args.sizes, args.family, args.seed, args.p)
     csv = harness.format_scaling_csv(rows)
     Path(args.out).write_text(csv)
     sys.stdout.write(csv)
@@ -142,19 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="write honest certificates", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", default="p5")
+    p.add_argument("--scheme", default="p5", type=_scheme_name)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("verify", help="verify a certificate file", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("certs")
-    p.add_argument("--scheme", default="p5")
+    p.add_argument("--scheme", default="p5", type=_scheme_name)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("run", help="prove and verify end-to-end", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("--certs", help="verify this certificate file instead of proving")
-    p.add_argument("--scheme", default="p5")
+    p.add_argument("--scheme", default="p5", type=_scheme_name)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("fuzz", help="adversarial soundness fuzzing", allow_abbrev=False)
@@ -166,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("measure", help="certificate size scaling CSV", allow_abbrev=False)
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
+    p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated vertex counts")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--p", type=float, default=0.5)

@@ -101,28 +101,44 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 def component_masks(g: Graph, within: int) -> list[int]:
     """Connected components of the subgraph induced by ``within``, as masks.
 
-    Components come in ascending order of their lowest vertex.  A search
-    stops as soon as it has reached every vertex not yet placed, without
-    expanding the rest of its frontier.
+    Components come in ascending order of their lowest vertex.  A component
+    grows from its lowest vertex in rounds.  A round ORs the rows of its
+    frontier, the vertices the previous round reached, until every vertex not
+    yet placed is reached or the frontier is used up.  What a round reaches is
+    therefore N(frontier) less what is placed, whatever order it visits the
+    frontier in, so the order is chosen to reach something new: each visit
+    targets r, the lowest vertex not yet reached, and visits a frontier
+    neighbour of r.  If no unvisited frontier vertex is adjacent to r, no
+    visit left in the round can reach r, so r is dropped for the round and
+    the lowest unvisited frontier vertex is visited instead; once every vertex
+    not yet placed is reached or dropped, the rest of the frontier would reach
+    nothing new and the round ends.  Each visit uses up one frontier vertex,
+    so no round visits more vertices than its frontier holds.
     """
     adj = g.adj
     out = []
     todo = within
     while todo:
         seed = todo & -todo
-        comp = seed
-        frontier = seed
-        left = todo ^ seed
+        frontier = adj[seed.bit_length()] & todo
+        comp = seed | frontier
+        left = todo ^ comp
         while frontier and left:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-                if not left & ~grow:
-                    break
-            grow &= left
-            comp |= grow
-            left ^= grow
-            frontier = grow
+            want = left
+            while frontier and want:
+                r = want & -want
+                hit = frontier & adj[r.bit_length()]
+                if not hit:
+                    want ^= r
+                    hit = frontier
+                v = hit & -hit
+                frontier ^= v
+                grow |= adj[v.bit_length()]
+                want &= ~grow
+            frontier = grow & left
+            comp |= frontier
+            left ^= frontier
         out.append(comp)
         todo = left
     return out

@@ -364,8 +364,8 @@ def build_tree_partition(g: Graph) -> TreePartition:
         if parent is not None:
             children[parent].append(node)
         rest = comp & ~bag.mask
-        for sub in reversed(component_masks(g, rest)):
-            stack.append((node, sub))
+        if rest:
+            stack.extend((node, sub) for sub in reversed(component_masks(g, rest)))
     tree = RootedTree(tuple(parents), tuple(tuple(k) for k in children))
     return TreePartition(g.n, tree, tuple(bags))
 

@@ -1,3 +1,5 @@
+import pytest
+
 import p5cert as pc
 from p5cert.cli import cli_main
 from p5cert.harness import FAMILIES
@@ -148,6 +150,31 @@ def test_measure_command(tmp_path, capsys):
         capsys, "measure", "--sizes", "8,16", "--family", "split", "--seed", "2", "--out", str(out_csv)
     )
     assert out_csv.read_text().splitlines() == lines
+
+
+def _exit_code(capsys, *args):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(list(args))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_measure_malformed_sizes_exit_2(tmp_path, capsys):
+    out_csv = str(tmp_path / "scaling.csv")
+    for sizes in ("4,x", "8,,16", "0", "-4", ""):
+        code, err = _exit_code(capsys, "measure", "--sizes", sizes, "--family", "split", "--seed", "2", "--out", out_csv)
+        assert code == 2 and f"got {sizes!r}" in err, (sizes, err)
+    assert not (tmp_path / "scaling.csv").exists()
+
+
+def test_malformed_kk_scheme_exit_2(tmp_path, capsys):
+    graph_file = str(tmp_path / "g.graph")
+    run_cli(capsys, "gen", "--family", "split", "--n", "10", "--seed", "1", "--out", graph_file)
+    for command in (["run", graph_file], ["prove", graph_file, "--out", str(tmp_path / "g.certs")]):
+        code, err = _exit_code(capsys, *command, "--scheme", "kk:x")
+        assert code == 2 and "'kk:x'" in err, (command, err)
+    # a well-formed k below 3 is still a semantic reject
+    code, _, err = run_cli(capsys, "run", graph_file, "--scheme", "kk:2")
+    assert code == 1 and "ValueError" in err
 
 
 def test_scheme_selection(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,8 @@ from p5cert.errors import (
     OutOfRangeVertex,
     SubsetViolation,
 )
-from p5cert import harness
-from p5cert.graphs import component_masks, iter_bits
+from p5cert import harness, treepart
+from p5cert.graphs import Graph, component_masks, set_of
 from helpers import (
     naive_find_induced_path,
     random_graph,
@@ -81,37 +82,109 @@ def test_components_partition_and_are_edgeless_between(p5_graph):
                     assert not any(g.has_edge(u, v) for u in a for v in b)
 
 
-def _stops_inside_a_frontier(g, within):
-    """True if the last component's search reaches every vertex left to place
-    with a proper prefix (ascending) of one of its frontiers."""
-    last = reference_component_masks(g, within)[-1]
-    seed = last & -last
-    reached, frontier = seed, seed
-    while last & ~reached:
-        grow = 0
-        members = list(iter_bits(frontier))
-        for i, v in enumerate(members):
-            grow |= g.adj[v]
-            if last & ~(reached | grow) == 0 and i < len(members) - 1:
-                return True
-        frontier = grow & last & ~reached
-        reached |= frontier
-    return False
+class _CountingRows(tuple):
+    """Adjacency rows that log the index of every row read."""
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return tuple.__getitem__(self, v)
+
+
+def _targeted_walk(g, within):
+    """The visit order that ``component_masks`` documents, on vertex sets.
+
+    Returns the rows it reads, in order, and per-round counts: ``hit`` (the
+    targeted vertex has an unvisited frontier neighbour), ``drop`` (it has
+    none) and ``early`` (a round that ends with frontier left unvisited).
+    """
+    reads, counts = [], Counter()
+    todo = set_of(within)
+    while todo:
+        seed = min(todo)
+        reads.append(seed)
+        frontier = set_of(g.adj[seed]) & todo
+        left = todo - frontier - {seed}
+        while frontier and left:
+            reached, want, unvisited = set(), set(left), set(frontier)
+            while unvisited and want:
+                r = min(want)
+                reads.append(r)
+                near = unvisited & set_of(g.adj[r])
+                if near:
+                    counts["hit"] += 1
+                    v = min(near)
+                else:
+                    counts["drop"] += 1
+                    want.discard(r)
+                    v = min(unvisited)
+                reads.append(v)
+                unvisited.discard(v)
+                reached |= set_of(g.adj[v]) & left
+                want -= reached
+            counts["early"] += bool(unvisited)
+            left -= reached
+            frontier = reached
+        todo = left
+    return reads, counts
+
+
+def _check_components(g, within, counts):
+    """component_masks agrees with the oracle and reads rows in the documented order."""
+    rows = _CountingRows(g.adj)
+    rows.reads = []
+    got = component_masks(Graph(g.n, rows), within)
+    assert got == reference_component_masks(g, within), (g.adj, within)
+    reads, walked = _targeted_walk(g, within)
+    assert rows.reads == reads, (g.adj, within)
+    counts.update(walked)
+    counts["several"] += len(got) > 1
+
+
+def _assert_floors(counts, **floors):
+    assert all(counts[k] >= floor for k, floor in floors.items()), (counts, floors)
 
 
 def test_component_masks_matches_reference():
     rng = random.Random(12)
-    several = early = 0
+    counts = Counter()
     for _ in range(150):
         g = random_graph(rng.randint(1, 300), rng.choice([0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9]), rng)
         for _ in range(6):
             keep = rng.choice([1.0, 0.9, 0.5, 0.2, 0.05])
             within = sum(1 << i for i in range(g.n) if rng.random() < keep)
-            got = component_masks(g, within)
-            assert got == reference_component_masks(g, within), (g.adj, within)
-            several += len(got) > 1
-            early += bool(within) and _stops_inside_a_frontier(g, within)
-    assert several >= 200 and early >= 200, (several, early)
+            _check_components(g, within, counts)
+    _assert_floors(counts, several=200, hit=5000, drop=5000, early=500)
+
+
+def test_component_masks_on_small_connected_graphs():
+    """Every connected graph with n <= 6, whole and with each vertex removed."""
+    counts = Counter()
+    for n in range(1, 7):
+        for g in harness.enumerate_connected_graphs(n):
+            _check_components(g, g.full_mask, counts)
+            for v in g.vertices():
+                _check_components(g, g.full_mask & ~(1 << (v - 1)), counts)
+    _assert_floors(counts, several=15000, hit=100000, drop=40000, early=70000)
+
+
+def test_component_masks_on_prover_rests(monkeypatch):
+    """Every rest that build_tree_partition splits on the prove-large graphs."""
+    rests = []
+
+    def recording(g, rest):
+        rests.append((g, rest))
+        return component_masks(g, rest)
+
+    monkeypatch.setattr(treepart, "component_masks", recording)
+    specs = [harness.GeneratorSpec("split", 512, 0.5, s) for s in (1, 2, 3)]
+    specs += [harness.GeneratorSpec("cograph", 1024, 0.5, s) for s in (1, 2)]
+    for spec in specs:
+        treepart.build_tree_partition(harness.generate(spec))
+    assert len(rests) >= 1500 and all(rest for _, rest in rests)
+    counts = Counter()
+    for g, rest in rests:
+        _check_components(g, rest, counts)
+    _assert_floors(counts, several=20, hit=1000, drop=700, early=900)
 
 
 def test_is_clique(p5_graph):
