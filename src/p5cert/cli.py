@@ -49,13 +49,16 @@ def get_scheme(name: str) -> Scheme:
 
 
 def _scheme_name(name: str) -> str:
-    """argparse type of --scheme: the k of kk:<k> must be an integer."""
+    """argparse type of --scheme: a known name, or kk:<k> with an integer k."""
+    if name in ("p5", "universal-p5", "stree-n"):
+        return name
     if name.startswith("kk:"):
         try:
             int(name.split(":", 1)[1])
+            return name
         except ValueError:
             raise argparse.ArgumentTypeError(f"kk:<k> needs an integer k, got {name!r}") from None
-    return name
+    raise argparse.ArgumentTypeError(f"unknown scheme {name!r}; choose p5, universal-p5, stree-n or kk:<k>")
 
 
 def _sizes(text: str) -> list[int]:
@@ -76,8 +79,9 @@ def _load_graph(path: str):
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.n, args.p, args.seed)
     g = harness.generate(spec)
-    # exact on a full map; on split n = 1024 seeds 1 / 2 it takes 0.27 / 1.4 s
-    # of CPU against 25 / 6.3 s for graphs.find_induced_path
+    # exact on a full map; the verifier's search deletes twins first, which
+    # takes cograph n = 1024 seed 1 to 0.004 s of CPU against 25 s for
+    # graphs.find_induced_path (split seeds 1 / 2: 0.11 / 0.57 s either way)
     tag = "yes" if find_known_induced_p5(full_knowledge_map(g)) is None else "no"
     header = f"c family={spec.family} n={spec.n} p={spec.p} seed={spec.seed} p5free={tag}\n"
     Path(args.out).write_text(header + write_graph(g))

@@ -1,16 +1,18 @@
 """Immutable graphs over vertices 1..n with bitmask adjacency rows.
 
 Vertex v occupies bit v-1 of every mask, so a full adjacency row is exactly
-the n-bit vector that appears in encoded certificates.  All structural
-oracles here (induced paths, cliques, induced P3s, domination, components)
-are exhaustive and serve as ground truth for the rest of the package.
+the n-bit vector that appears in encoded certificates.  The structural
+searches here (induced paths, cliques, induced P3s, domination, components)
+are exhaustive.  The induced 5-path search is also the verifier's step (v),
+so the independent ground truth is in ``tests/helpers.py``: the reference
+DFS and the naive search.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DisconnectedInput,
@@ -190,60 +192,96 @@ def is_dominating(g: Graph, s: Iterable[int], within: Iterable[int]) -> bool:
     return wmask & ~covered == 0
 
 
+def first_known_p5(edge: Sequence[int], nonedge: Sequence[int], alive: int) -> Optional[tuple[int, int, int, int, int]]:
+    """First induced 5-path (a, b, c, d, e) over ``alive``, in lexicographic
+    order, whose 10 pair statuses are all known; None if there is none.
+
+    ``edge[x]`` and ``nonedge[x]`` are the known neighbors and known
+    non-neighbors of x: symmetric rows with no bit outside ``alive`` (a self
+    bit in ``edge[x]`` is harmless).  A graph is the map that knows every
+    pair.  Centre first, the cheap refutation: for each known induced P3
+    b-c-d, a must lie in E[b] & NE[c] & NE[d], e in E[d] & NE[c] & NE[b],
+    and a-e must be a known non-edge.  Only if that finds a path does the
+    a, b, c, d extension search look for the first one.
+    """
+    # every loop takes the lowest set bit first, the order of iter_bits
+    cs = alive
+    while cs:
+        low = cs & -cs
+        cs ^= low
+        c = low.bit_length()
+        ne_c = nonedge[c]
+        # b and d need a neighbor that is a known non-neighbor of c
+        ends = 0
+        m = edge[c]
+        while m:
+            low = m & -m
+            m ^= low
+            if edge[low.bit_length()] & ne_c:
+                ends |= low
+        bs = ends
+        while bs:
+            low = bs & -bs
+            bs ^= low
+            b = low.bit_length()
+            a_side = edge[b] & ne_c
+            ne_b = nonedge[b]
+            # d > b only: reversing a path keeps its centre and swaps b with
+            # d, so every path is met once in this orientation
+            ds = bs & ne_b
+            while ds:
+                low = ds & -ds
+                ds ^= low
+                d = low.bit_length()
+                e_side = edge[d] & ne_c & ne_b
+                if e_side:
+                    cands = a_side & nonedge[d]
+                    while cands:
+                        low = cands & -cands
+                        cands ^= low
+                        if nonedge[low.bit_length()] & e_side:
+                            return _first_extension(edge, nonedge, alive)
+    return None
+
+
+def _first_extension(edge: Sequence[int], nonedge: Sequence[int], alive: int) -> Optional[tuple[int, int, int, int, int]]:
+    """The a, b, c, d extension search of ``first_known_p5``, once a path exists."""
+    as_ = alive
+    while as_:
+        low = as_ & -as_
+        as_ ^= low
+        a = low.bit_length()
+        ne_a = nonedge[a]
+        bs = edge[a]
+        while bs:
+            low = bs & -bs
+            bs ^= low
+            b = low.bit_length()
+            ne_ab = ne_a & nonedge[b]
+            cs = edge[b] & ne_a
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                c = low.bit_length()
+                ne_abc = ne_ab & nonedge[c]
+                ds = edge[c] & ne_ab
+                while ds:
+                    low = ds & -ds
+                    ds ^= low
+                    es = edge[low.bit_length()] & ne_abc
+                    if es:
+                        return (a, b, c, low.bit_length(), (es & -es).bit_length())
+    return None
+
+
 def find_induced_path(g: Graph) -> Optional[tuple[int, int, int, int, int]]:
     """First induced 5-path (a, b, c, d, e) in lexicographic order, or None.
 
-    Ground-truth oracle for P5-freeness.  a runs ascending, b over N(a),
-    c over N(b) \\ N[a], d over N(c), and e is the lowest vertex of
-    N(d) \\ (N[a] | N(b) | N(c)), so every emitted path is induced.  Both d
-    and e lie in rest = V \\ (N[a] | N(b)); so, once per (a, b), d is
-    narrowed to the vertices of rest that are adjacent to some c and have a
-    neighbor in rest.  The filter is exact, and an empty one skips b.
+    The P5-freeness oracle: ``first_known_p5`` on the map that knows every
+    pair of ``g``.
     """
-    adj = g.adj
     full = g.full_mask
-    # bit loops are inlined: on 6-vertex graphs an iter_bits generator per
-    # (a, b) doubles the cost of the search
-    for a in range(1, g.n + 1):
-        closed_a = adj[a] | 1 << (a - 1)
-        bs = adj[a]
-        while bs:
-            b_bit = bs & -bs
-            bs ^= b_bit
-            b = b_bit.bit_length()
-            cs = adj[b] & ~closed_a
-            if not cs:
-                continue
-            block = closed_a | adj[b]
-            rest = full & ~block
-            reach = 0
-            m = cs
-            while m:
-                low = m & -m
-                reach |= adj[low.bit_length()]
-                m ^= low
-            ds = 0
-            m = reach & rest
-            while m:
-                low = m & -m
-                if adj[low.bit_length()] & rest:
-                    ds |= low
-                m ^= low
-            if not ds:
-                continue
-            while cs:
-                c_bit = cs & -cs
-                cs ^= c_bit
-                c = c_bit.bit_length()
-                d_mask = adj[c] & ds
-                while d_mask:
-                    d_bit = d_mask & -d_mask
-                    d_mask ^= d_bit
-                    d = d_bit.bit_length()
-                    es = adj[d] & ~(block | adj[c])
-                    if es:
-                        return (a, b, c, d, (es & -es).bit_length())
-    return None
+    return first_known_p5(g.adj, [full ^ r ^ (1 << v >> 1) for v, r in enumerate(g.adj)], full)
 
 
 def require_connected(g: Graph) -> None:

@@ -28,7 +28,7 @@ from .codec import (
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
-from .graphs import Graph, iter_bits
+from .graphs import Graph, first_known_p5, iter_bits
 from .treepart import CLIQUE, P3, Bag, TreePartition, build_tree_partition
 
 
@@ -407,76 +407,20 @@ def _drop_twins(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> tupl
     return alive, edge, nonedge
 
 
-def _has_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int) -> bool:
-    """Whether some induced 5-path a-b-c-d-e has all 10 pair statuses known.
-
-    Twins first (``_drop_twins``), which keeps the answer: an induced 5-path
-    has neither true nor false twins, so a fully known one holds at most one
-    of two twins (were their pair unknown, the path would not be fully
-    known), and swapping a twin for its twin keeps every pair status.  A
-    cograph reduces to one vertex.
-
-    Then centre first: for each known induced P3 b-c-d, a must lie in
-    A = E[b] & NE[c] & NE[d], e in B = E[d] & NE[c] & NE[b], and a-e must be
-    a known non-edge.
-    """
-    alive, edge, nonedge = _drop_twins(edge, nonedge, n)
-    # every loop takes the lowest set bit first, the order of iter_bits
-    cs = alive
-    while cs:
-        low = cs & -cs
-        cs ^= low
-        c = low.bit_length()
-        ne_c = nonedge[c]
-        # b and d need a neighbor that is a known non-neighbor of c
-        ends = 0
-        m = edge[c]
-        while m:
-            low = m & -m
-            m ^= low
-            if edge[low.bit_length()] & ne_c:
-                ends |= low
-        bs = ends
-        while bs:
-            low = bs & -bs
-            bs ^= low
-            b = low.bit_length()
-            a_side = edge[b] & ne_c
-            ne_b = nonedge[b]
-            # d > b only: reversing a path keeps its centre and swaps b with
-            # d, so every path is met once in this orientation
-            ds = bs & ne_b
-            while ds:
-                low = ds & -ds
-                ds ^= low
-                d = low.bit_length()
-                e_side = edge[d] & ne_c & ne_b
-                if e_side:
-                    cands = a_side & nonedge[d]
-                    while cands:
-                        low = cands & -cands
-                        cands ^= low
-                        if nonedge[low.bit_length()] & e_side:
-                            return True
-    return False
-
-
 @lru_cache(maxsize=8192)
 def _find_p5_known(edge: tuple[int, ...], nonedge: tuple[int, ...], n: int):
-    if not _has_p5_known(edge, nonedge, n):
-        return None
-    # one exists: the a, b, c, d extension search returns the first in
-    # lexicographic order
-    for a in range(1, n + 1):
-        ne_a = nonedge[a]
-        for b in iter_bits(edge[a]):
-            for c in iter_bits(edge[b] & ne_a):
-                ne_ab = ne_a & nonedge[b]
-                for d in iter_bits(edge[c] & ne_ab):
-                    cand = edge[d] & ne_ab & nonedge[c]
-                    if cand:
-                        return (a, b, c, d, (cand & -cand).bit_length())
-    return None
+    """``first_known_p5`` on the map with twins deleted (``_drop_twins``).
+
+    That keeps the witness.  A fully known induced 5-path holds at most one
+    vertex of a twin class: P5 has no twins, and a path through two twins
+    whose pair is unknown is not fully known.  Swapping a deleted vertex of
+    the path for the kept, lower twin of its class keeps every pair status,
+    so it gives a fully known path that is smaller in lexicographic order.
+    The first path therefore survives every round.  A cograph reduces to
+    one vertex.
+    """
+    alive, e, ne = _drop_twins(edge, nonedge, n)
+    return first_known_p5(e, ne, alive)
 
 
 def find_known_induced_p5(km: KnowledgeMap) -> Optional[tuple[int, int, int, int, int]]:

@@ -177,6 +177,17 @@ def test_malformed_kk_scheme_exit_2(tmp_path, capsys):
     assert code == 1 and "ValueError" in err
 
 
+def test_unknown_scheme_exit_2(tmp_path, capsys):
+    graph_file = str(tmp_path / "g.graph")
+    cert_file = str(tmp_path / "g.certs")
+    run_cli(capsys, "gen", "--family", "split", "--n", "10", "--seed", "1", "--out", graph_file)
+    run_cli(capsys, "prove", graph_file, "--out", cert_file)
+    for command in (["run", graph_file], ["prove", graph_file, "--out", cert_file], ["verify", graph_file, cert_file]):
+        for name in ("foo", "P5", "kk", ""):
+            code, err = _exit_code(capsys, *command, "--scheme", name)
+            assert code == 2 and f"unknown scheme {name!r}" in err, (command, name, err)
+
+
 def test_scheme_selection(tmp_path, capsys):
     graph_file = str(tmp_path / "g.graph")
     run_cli(capsys, "gen", "--family", "split", "--n", "10", "--seed", "1", "--out", graph_file)

@@ -10,7 +10,7 @@ import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.graphs import iter_bits
+from p5cert.graphs import first_known_p5, iter_bits
 from p5cert import p5free
 from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, honest_best_effort, p5free_corpus
 from p5cert.p5free import (
@@ -31,6 +31,7 @@ from helpers import (
     random_graph,
     reference_closure,
     reference_cross_nonedge,
+    reference_find_induced_path,
     reference_find_p5_known,
     reference_union_accepts,
 )
@@ -393,15 +394,14 @@ def test_find_known_p5_matches_naive():
     for g in graphs:
         km = full_knowledge_map(g)
         got = pc.find_known_induced_p5(km)
-        want = pc.find_induced_path(g)
-        assert (got is None) == (want is None)
-        if got is not None:
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    assert g.has_edge(got[i], got[j]) == (j - i == 1)
+        assert got == reference_find_induced_path(g, 5), g.adj
+        removed = g.n - bin(p5free._drop_twins(km.edge, km.nonedge, g.n)[0]).count("1")
         outcomes["p5" if got else "free"] += 1
-        outcomes["removed"] += g.n - bin(p5free._drop_twins(km.edge, km.nonedge, g.n)[0]).count("1")
+        outcomes["p5, twins removed"] += bool(got and removed)
+        outcomes["removed"] += removed
     assert outcomes["p5"] > 50 and outcomes["free"] > 150 and outcomes["removed"] > 1000, outcomes
+    # the witness comes from the reduced map, yet matches the full graph's
+    assert outcomes["p5, twins removed"] > 40, outcomes
 
 
 def random_partial_map(n, rng):
@@ -438,7 +438,7 @@ def test_find_known_p5_matches_reference_on_twin_rich_maps():
             rows[x] |= 1 << (x - 1)  # a row that lists its owner leaves a self bit in E
         km = pc.KnowledgeMap(km.n, tuple(rows), km.nonedge)
         want = reference_find_p5_known(km.edge, km.nonedge, km.n)
-        assert p5free._has_p5_known(km.edge, km.nonedge, km.n) == (want is not None)
+        assert first_known_p5(km.edge, km.nonedge, (1 << km.n) - 1) == want
         assert pc.find_known_induced_p5(km) == want
         alive, edge, nonedge = p5free._drop_twins(km.edge, km.nonedge, km.n)
         for x in iter_bits(alive):  # the map induced on the vertices left
@@ -463,7 +463,7 @@ def test_find_known_p5_matches_reference_on_full_maps(spec):
     km = full_knowledge_map(pc.generate(spec))
     want = reference_find_p5_known(km.edge, km.nonedge, km.n)
     assert (want is None) == (spec.family != "with-p5")
-    assert p5free._has_p5_known(km.edge, km.nonedge, km.n) == (want is not None)
+    assert first_known_p5(km.edge, km.nonedge, (1 << km.n) - 1) == want
     assert pc.find_known_induced_p5(km) == want
 
 
@@ -501,8 +501,9 @@ def test_drop_twins_on_a_4_path_and_one_more_vertex(extra, unknown, left):
 @pytest.mark.parametrize("x", range(1, 6))
 def test_self_bit_on_a_5_path_removes_nothing(x):
     edge, nonedge = map_of(5, [(1, 2), (2, 3), (3, 4), (4, 5)], self_bits=[x])
-    assert p5free._drop_twins(edge, nonedge, 5)[0] == 0b11111
-    assert p5free._has_p5_known(edge, nonedge, 5)
+    alive, edge, nonedge = p5free._drop_twins(edge, nonedge, 5)
+    assert alive == 0b11111
+    assert first_known_p5(edge, nonedge, alive) == (1, 2, 3, 4, 5)
 
 
 def test_drop_twins_reduces_a_cograph_to_one_vertex():
