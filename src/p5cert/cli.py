@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 accept/pass, 1 semantic reject/fail, 2 malformed input,
+Exit codes: 0 accept/pass, 1 semantic reject/fail (a prover or generator
+that gives up included), 2 malformed input (option values included),
 3 precondition violation (disconnected input, fuzzing a P5-free graph).
 """
 
@@ -14,6 +15,7 @@ from . import baselines, harness
 from .errors import (
     CertificateFormatError,
     DisconnectedInput,
+    GenerationBudgetExceeded,
     GraphFormatError,
     MalformedCertificate,
     MalformedPartitioning,
@@ -36,40 +38,56 @@ EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
 
 
+# every scheme name but kk:<k>, which takes its k from the name
+_SCHEMES = {
+    "p5": p5_scheme,
+    "universal-p5": lambda: baselines.universal_scheme(harness.oracle_is_p5_free),
+    "stree-n": baselines.spanning_tree_size_scheme,
+}
+
+
+def _unknown_scheme(name: str) -> str:
+    return f"unknown scheme {name!r}; choose {', '.join(_SCHEMES)} or kk:<k>"
+
+
 def get_scheme(name: str) -> Scheme:
-    if name == "p5":
-        return p5_scheme()
-    if name == "universal-p5":
-        return baselines.universal_scheme(harness.oracle_is_p5_free)
-    if name == "stree-n":
-        return baselines.spanning_tree_size_scheme()
     if name.startswith("kk:"):
-        return baselines.kk_freeness_scheme(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown scheme {name!r}; choose p5, universal-p5, stree-n or kk:<k>")
+        return baselines.kk_freeness_scheme(int(name[3:]))
+    if name not in _SCHEMES:
+        raise ValueError(_unknown_scheme(name))
+    return _SCHEMES[name]()
 
 
 def _scheme_name(name: str) -> str:
     """argparse type of --scheme: a known name, or kk:<k> with an integer k."""
-    if name in ("p5", "universal-p5", "stree-n"):
-        return name
     if name.startswith("kk:"):
         try:
-            int(name.split(":", 1)[1])
-            return name
+            int(name[3:])
         except ValueError:
             raise argparse.ArgumentTypeError(f"kk:<k> needs an integer k, got {name!r}") from None
-    raise argparse.ArgumentTypeError(f"unknown scheme {name!r}; choose p5, universal-p5, stree-n or kk:<k>")
+    elif name not in _SCHEMES:
+        raise argparse.ArgumentTypeError(_unknown_scheme(name))
+    return name
 
 
-def _sizes(text: str) -> list[int]:
-    """argparse type of --sizes: comma-separated positive integers."""
-    try:
-        sizes = [int(s) for s in text.split(",")]
-        if min(sizes) >= 1:
-            return sizes
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+def _checked(parse, ok, expected: str):
+    """argparse type: ``parse(text)`` if ``ok`` holds of it; an error names the value."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is not None and ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_sizes = _checked(lambda text: [int(s) for s in text.split(",")], lambda v: min(v) >= 1, "comma-separated positive integers")
 
 
 def _load_graph(path: str):
@@ -153,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph file", allow_abbrev=False)
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--n", required=True, type=_positive_int)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -184,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="adversarial soundness fuzzing", allow_abbrev=False)
     p.add_argument("graph")
     p.add_argument("--strategy", required=True, choices=harness.STRATEGIES)
-    p.add_argument("--trials", required=True, type=int)
+    p.add_argument("--trials", required=True, type=_positive_int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--counterexample-out", default="counterexample.certs")
     p.set_defaults(func=_cmd_fuzz)
@@ -193,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated vertex counts")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_measure)
 
@@ -216,7 +234,7 @@ def cli_main(argv=None) -> int:
     except (DisconnectedInput, PreconditionNotP5, TooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ProverFailed, NoDominatingStructure, ValueError) as exc:
+    except (ProverFailed, NoDominatingStructure, GenerationBudgetExceeded, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REJECT
     except OSError as exc:

@@ -325,10 +325,11 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     for wrong-graph, the induced 5-path of ``g`` and one ``prove`` per
     distinct modified graph (its certificates or its ``P5CertError``, so a
     repeated failure goes straight to the rng-driven repair, as
-    ``honest_best_effort`` would); for lying-partition, the decoded base;
-    for greedy-search, the base's decode table and rejection mask, so a
-    trial verifies only the closed neighborhood of each flipped vertex and
-    decodes only the flipped certificate.
+    ``honest_best_effort`` would); the base's decode table, which
+    lying-partition, lying-pieces and greedy-search trials copy and edit, so
+    a trial encodes only the certificates it changes; for greedy-search, the
+    base's rejection mask, so a trial verifies only the closed neighborhood
+    of each flipped vertex and decodes only the flipped certificate.
 
     A wrong-graph stream needs a vertex pair to toggle: on a 1-vertex graph
     it raises ``ValueError`` before its first trial.
@@ -342,9 +343,8 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     # per-stream work that no trial changes
     path = find_induced_path(g) if kind == "wrong-graph" else None
     proofs: dict[tuple[int, ...], CertificateAssignment | P5CertError] = {}
-    decoded = {v: decode_certificate(base[v], n) for v in g.vertices()} if kind == "lying-partition" else {}
+    base_dec = {v: decode_certificate(base[v], n) for v in g.vertices()}
     if kind == "greedy-search":
-        base_dec = {v: _decode(b, n) for v, b in base.items()}
         base_rej = rejecting_mask(g, base_dec, g.full_mask)
 
     for _ in range(strategy.trials):
@@ -379,25 +379,24 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
             yield prove(repair_to_p5_free(modified, rng)) if isinstance(proved, P5CertError) else dict(proved)
         elif kind == "lying-partition":
             false_bits = encode_partitioning(_random_false_partition(n, rng), n)
-            yield {v: encode_certificate(replace(d, partitioning_part=false_bits), n) for v, d in decoded.items()}
+            yield {v: encode_certificate(replace(d, partitioning_part=false_bits), n) for v, d in base_dec.items()}
         elif kind == "lying-pieces":
-            cur = dict(base)
+            dec = dict(base_dec)
             for _ in range(rng.randint(1, 3)):
                 v = rng.randint(1, n)
-                dec = decode_certificate(cur[v], n)
-                if not dec.pieces_part:
+                pieces = list(dec[v].pieces_part)
+                if not pieces:
                     continue
-                idx = rng.randrange(len(dec.pieces_part))
-                entry = dec.pieces_part[idx]
+                idx = rng.randrange(len(pieces))
+                entry = pieces[idx]
                 row = entry.row
                 for _ in range(rng.randint(1, 3)):
                     pos = rng.randrange(n)
                     if pos != entry.owner - 1:
                         row ^= 1 << pos
-                pieces = list(dec.pieces_part)
                 pieces[idx] = type(entry)(entry.owner, row)
-                cur[v] = encode_certificate(replace(dec, pieces_part=tuple(pieces)), n)
-            yield cur
+                dec[v] = replace(dec[v], pieces_part=tuple(pieces))
+            yield {v: base[v] if d is base_dec[v] else encode_certificate(d, n) for v, d in dec.items()}
         else:  # greedy-search: hill-climb bit flips to minimize rejections
             cur, dec, cur_rej = dict(base), dict(base_dec), base_rej
             for step in range(_GREEDY_STEPS + 1):

@@ -126,8 +126,8 @@ class PartitionIndex:
     members_mask: tuple[int, ...]  # per node
     subtree_mask: tuple[int, ...]  # per node, recomputed, never trusted from certificates
     strict_ancestors: tuple[tuple[int, ...], ...]  # per node, root first
-    intra_edge: tuple[int, ...]  # per vertex: bag-implied known edges
-    intra_nonedge: tuple[int, ...]  # per vertex: P3 endpoint non-edges
+    intra_edge: tuple[int, ...]  # per vertex: the pairs its bag claims are edges
+    intra_nonedge: tuple[int, ...]  # per vertex: the pairs its bag claims are non-edges
     # per vertex in bag i: every vertex outside the strict ancestors' bags and
     # outside subtree i, i.e. the bags in other branches, all non-neighbours
     cross_nonedge: tuple[int, ...]
@@ -152,6 +152,8 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
     above = [0] * t  # vertex mask of the strict ancestors' bags
     strict_anc: list[tuple[int, ...]] = [()] * t
     node_of = [0] * (n + 1)
+    intra_edge = [0] * (n + 1)
+    intra_nonedge = [0] * (n + 1)
     cross_nonedge = [0] * (n + 1)
     for node in range(t):
         if node:
@@ -159,30 +161,19 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
             above[node] = above[p] | members_mask[p]
             strict_anc[node] = strict_anc[p] + (p,)
         other = full & ~above[node] & ~subtree[node]
-        m = members_mask[node]
-        while m:
-            low = m & -m
+        m = rest = members_mask[node]
+        while rest:
+            low = rest & -rest
             v = low.bit_length()
             node_of[v] = node
+            intra_edge[v] = m ^ low  # a clique member's claims, and a P3 centre's
             cross_nonedge[v] = other
-            m ^= low
-
-    intra_edge = [0] * (n + 1)
-    intra_nonedge = [0] * (n + 1)
-    for bag in tp.bags:
-        if bag.kind == P3:
-            a, b, c = bag.p3_order
-            intra_edge[a] |= 1 << (b - 1)
-            intra_edge[b] |= (1 << (a - 1)) | (1 << (c - 1))
-            intra_edge[c] |= 1 << (b - 1)
-            intra_nonedge[a] |= 1 << (c - 1)
-            intra_nonedge[c] |= 1 << (a - 1)
-        else:
-            m = rest = bag.mask
-            while rest:
-                low = rest & -rest
-                intra_edge[low.bit_length()] |= m ^ low
-                rest ^= low
+            rest ^= low
+        if tp.bags[node].kind == P3:  # each endpoint is adjacent to the centre only
+            a, b, c = tp.bags[node].p3_order
+            intra_edge[a] = intra_edge[c] = 1 << (b - 1)
+            intra_nonedge[a] = 1 << (c - 1)
+            intra_nonedge[c] = 1 << (a - 1)
 
     return PartitionIndex(
         tp=tp,
@@ -450,21 +441,11 @@ def _steps_iii_iv(
     # (iii) bag-local structure, ancestor domination, branch separation
     s = pidx.node_of[u]
     bag = pidx.tp.bags[s]
-    bit_u = 1 << (u - 1)
-    if bag.kind == CLIQUE:
-        missing = pidx.members_mask[s] & ~bit_u & ~nbr_mask
-        if missing:
-            return Verdict(False, "iii", f"not adjacent to bag member {(missing & -missing).bit_length()}")
-    else:
-        a, b, c = bag.p3_order
-        if u == b:
-            ok = (nbr_mask >> (a - 1)) & 1 and (nbr_mask >> (c - 1)) & 1
-        elif u == a:
-            ok = (nbr_mask >> (b - 1)) & 1 and not (nbr_mask >> (c - 1)) & 1
-        else:
-            ok = (nbr_mask >> (b - 1)) & 1 and not (nbr_mask >> (a - 1)) & 1
-        if not ok:
-            return Verdict(False, "iii", f"own role in P3 bag {a}-{b}-{c} does not match adjacency")
+    bad = pidx.intra_edge[u] & ~nbr_mask | pidx.intra_nonedge[u] & nbr_mask
+    if bad:
+        if bag.kind == CLIQUE:
+            return Verdict(False, "iii", f"not adjacent to bag member {(bad & -bad).bit_length()}")
+        return Verdict(False, "iii", f"own role in P3 bag {'-'.join(map(str, bag.p3_order))} does not match adjacency")
     for t_node in pidx.strict_ancestors[s]:
         if not pidx.members_mask[t_node] & nbr_mask:
             return Verdict(False, "iii", f"no neighbor in ancestor bag {t_node}")

@@ -436,6 +436,31 @@ def reference_cross_nonedge(tp: TreePartition):
     return tuple(cross_nonedge)
 
 
+def reference_bag_test(bag: Bag, u: int, nbr_mask: int):
+    """Step (iii)'s bag test at u, by bag kind and u's role in the bag, as the
+    verifier first wrote it; oracle.  None when u's adjacency fits its bag,
+    else (case, witness), case one of "clique", "centre", "endpoint-centre"
+    (an endpoint not adjacent to the centre) and "endpoint-other" (an
+    endpoint adjacent to the other endpoint)."""
+    if bag.kind == CLIQUE:
+        missing = bag.mask & ~(1 << (u - 1)) & ~nbr_mask
+        if not missing:
+            return None
+        return "clique", f"not adjacent to bag member {(missing & -missing).bit_length()}"
+    a, b, c = bag.p3_order
+
+    def adjacent(v):
+        return (nbr_mask >> (v - 1)) & 1
+
+    if u == b:
+        case = None if adjacent(a) and adjacent(c) else "centre"
+    elif not adjacent(b):
+        case = "endpoint-centre"
+    else:
+        case = "endpoint-other" if adjacent(c if u == a else a) else None
+    return case and (case, f"own role in P3 bag {a}-{b}-{c} does not match adjacency")
+
+
 def reference_union_accepts(g: Graph, certs) -> bool:
     """The batch test ``verify_all`` first used: steps (i)-(iv) for all
     vertices, then one closure and one 5-path search over the union's

@@ -166,6 +166,37 @@ def test_measure_malformed_sizes_exit_2(tmp_path, capsys):
     assert not (tmp_path / "scaling.csv").exists()
 
 
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    graph_file = str(tmp_path / "g.graph")
+    out_csv = str(tmp_path / "scaling.csv")
+    gen = ["gen", "--family", "split", "--seed", "1", "--out", graph_file]
+    cases = [
+        (gen + ["--n", "0"], "--n", "0"),
+        (gen + ["--n", "-3"], "--n", "-3"),
+        (gen + ["--n", "8.5"], "--n", "8.5"),
+        (gen + ["--n", "8", "--p", "1.5"], "--p", "1.5"),
+        (gen + ["--n", "8", "--p", "nan"], "--p", "nan"),
+        (["measure", "--sizes", "8", "--family", "split", "--seed", "1", "--p", "2", "--out", out_csv], "--p", "2"),
+        (["fuzz", graph_file, "--strategy", "bitflip", "--trials", "0", "--seed", "1"], "--trials", "0"),
+    ]
+    for args, option, bad in cases:
+        code, err = _exit_code(capsys, *args)
+        assert code == 2 and f"argument {option}:" in err and f"got {bad!r}" in err, (args, err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_generation_budget_exceeded_exit_1(tmp_path, capsys):
+    # no graph on 4 or fewer vertices has an induced 5-path
+    for args in (
+        ["gen", "--family", "with-p5", "--n", "4", "--seed", "1", "--out", str(tmp_path / "g.graph")],
+        ["measure", "--sizes", "3", "--family", "with-p5", "--seed", "1", "--out", str(tmp_path / "scaling.csv")],
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == "", (args, out)
+        assert err.startswith("error: GenerationBudgetExceeded: no graph with an induced 5-path"), (args, err)
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_kk_scheme_exit_2(tmp_path, capsys):
     graph_file = str(tmp_path / "g.graph")
     run_cli(capsys, "gen", "--family", "split", "--n", "10", "--seed", "1", "--out", graph_file)

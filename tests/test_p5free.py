@@ -8,16 +8,24 @@ import pytest
 
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
-from p5cert.errors import DisconnectedInput, MalformedCertificate, ThresholdViolation
+from p5cert.errors import DisconnectedInput, MalformedCertificate, P5CertError, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
 from p5cert.graphs import first_known_p5, iter_bits
 from p5cert import p5free
-from p5cert.harness import STRATEGIES, GeneratorSpec, _random_false_partition, honest_best_effort, p5free_corpus
+from p5cert.harness import (
+    STRATEGIES,
+    GeneratorSpec,
+    _random_false_partition,
+    honest_best_effort,
+    p5free_corpus,
+    repair_to_p5_free,
+)
 from p5cert.p5free import (
     Contradiction,
     _closure,
     _partition_index,
     _row_claims,
+    _steps_iii_iv,
     _transpose,
     bag_is_small,
     ceil_sqrt,
@@ -29,6 +37,7 @@ from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
 from helpers import (
     naive_transpose,
     random_graph,
+    reference_bag_test,
     reference_closure,
     reference_cross_nonedge,
     reference_find_induced_path,
@@ -564,6 +573,37 @@ def test_cross_nonedge_matches_reference(corpus_graphs):
         assert _partition_index(pc.encode_partitioning(tp, tp.n), tp.n).cross_nonedge == want
         nonempty += any(want)
     assert nonempty > 1000, nonempty
+
+
+def test_bag_test_matches_role_reference():
+    # every connected graph with n <= 5 and three with-p5 graphs, each under
+    # its honest partition (of a P5-free repair where it has none) and under
+    # random well-formed ones; rows are true and no pieces are carried, so a
+    # vertex that passes step (iii) fails step (iv) at worst
+    rng = random.Random(19)
+    graphs = [g for n in range(1, 6) for g in pc.enumerate_connected_graphs(n)]
+    graphs += [pc.generate(GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
+    bag_witnesses = ("not adjacent to bag member", "own role in P3 bag")
+    cases = collections.Counter()
+    for g in graphs:
+        try:
+            honest = pc.build_tree_partition(g)
+        except P5CertError:
+            honest = pc.build_tree_partition(repair_to_p5_free(g, rng))
+        for tp in [honest] + [_random_false_partition(g.n, rng) for _ in range(3 if g.n <= 5 else 40)]:
+            part = pc.encode_partitioning(tp, g.n)
+            pidx = _partition_index(part, g.n)
+            dec = {v: EncodedCertificate(g.n, g.adj[v], part, ()) for v in g.vertices()}
+            for u in g.vertices():  # the decoder renumbers nodes in preorder
+                want = reference_bag_test(pidx.tp.bags[pidx.node_of[u]], u, g.adj[u])
+                got = _steps_iii_iv(g.n, u, g.adj[u], dec[u], dec, pidx)
+                if want is None:
+                    cases["fits"] += 1
+                    assert got is None or not got.witness.startswith(bag_witnesses), (g.adj, tp, u, got)
+                else:
+                    cases[want[0]] += 1
+                    assert got == Verdict(False, "iii", want[1]), (g.adj, tp, u, got)
+    assert len(cases) == 5 and min(cases.values()) >= 300, cases
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65, 200, 1024])
