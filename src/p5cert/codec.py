@@ -23,6 +23,14 @@ The length field is 3 bits wider than the two-id field one might expect:
 for n = 3 an all-singleton partition occupies 19 bits, which already
 overflows 2*idwidth = 4 bits.
 
+How fields are written: the neighbor row comes first and its field has a
+fixed width, so a certificate encoded with a zero row differs from the
+same certificate with row r only in its leading n bits.  The members of
+a small bag carry the same block and the same pieces, so ``prove``
+encodes such a bag once (a big bag once per member) and writes each
+member's row into that encoding with one shift and one OR
+(``write_row``).
+
 How fields are read: a certificate's row and block length come off the
 top with one shift.  The tail (entry count and entries) is then everything
 below the block: its length is the total length less the head and the
@@ -57,9 +65,10 @@ def plen_width(n: int) -> int:
     return 2 * idwidth(n) + 3
 
 
-def _walk(tree: RootedTree) -> str:
-    """The tree's 0=down / 1=up walk as a 0/1 string."""
-    steps = []
+def _walk(tree: RootedTree) -> tuple[str, list[int]]:
+    """The tree's 0=down / 1=up walk as a 0/1 string, and its nodes in
+    preorder (the order the walk first enters them)."""
+    steps, order = [], [tree.root]
     stack = [(tree.root, 0)]
     while stack:
         node, next_child = stack.pop()
@@ -67,15 +76,17 @@ def _walk(tree: RootedTree) -> str:
         if next_child < len(kids):
             stack.append((node, next_child + 1))
             steps.append("0")
-            stack.append((kids[next_child], 0))
+            kid = kids[next_child]
+            order.append(kid)
+            stack.append((kid, 0))
         elif stack:
             steps.append("1")
-    return "".join(steps)
+    return "".join(steps), order
 
 
 def encode_tree(tree: RootedTree) -> Bits:
     """Depth-first 0=down / 1=up encoding; 2*(node count - 1) bits."""
-    return Bits.from01(_walk(tree))
+    return Bits.from01(_walk(tree)[0])
 
 
 def _unwalk(walk: str) -> RootedTree:
@@ -109,14 +120,23 @@ def encode_partitioning(tp: TreePartition, n: int) -> Bits:
     if tp.n != n:
         raise ValueError(f"partition of 1..{tp.n} cannot be encoded for n={n}")
     fw = f"0{idwidth(n)}b"
-    fields = [_walk(tp.tree)]
-    for node in tp.tree.preorder():
+    id_bits = [format(v, fw) for v in range(n + 1)]  # each id or member count
+    walk, order = _walk(tp.tree)
+    fields = [walk]
+    for node in order:
         bag = tp.bags[node]
-        ids = bag.p3_order if bag.kind == P3 else bag.sorted_members()
-        fields.append("1" if bag.kind == P3 else "0")
-        fields.append(format(len(ids), fw))
-        fields += [format(v, fw) for v in ids]
-    return Bits.from01("".join(fields))
+        if bag.kind == P3:
+            fields.append("1" + id_bits[3])
+            fields += [id_bits[v] for v in bag.p3_order]
+        else:
+            m = bag.mask
+            fields.append("0" + id_bits[m.bit_count()])
+            while m:  # members ascending
+                low = m & -m
+                fields.append(id_bits[low.bit_length()])
+                m ^= low
+    s = "".join(fields)
+    return Bits(int(s, 2), len(s))
 
 
 def decode_partitioning(b: Bits, n: int) -> TreePartition:
@@ -234,6 +254,15 @@ def encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
     tail_len = w + len(pieces) * (w + n)
     head = row << pw | plen
     return Bits((head << plen | block.value) << tail_len | tail, n + pw + plen + tail_len)
+
+
+def write_row(body: Bits, row: int, n: int) -> Bits:
+    """``body``, an encoded certificate whose neighbor row is 0, with ``row``
+    written into its leading n bits: ``encode_certificate`` of the same
+    certificate with that row, and the same error if the row does not fit."""
+    if row < 0 or row >> n:
+        raise _does_not_fit(row, n)
+    return Bits(body.value | row << (body.length - n), body.length)
 
 
 def decode_certificate(b: Bits, n: int) -> EncodedCertificate:

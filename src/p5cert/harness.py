@@ -237,22 +237,31 @@ def oracle_is_p5_free(g: Graph) -> bool:
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
-    """All connected labeled graphs on 1..n, ascending by edge-set bitmask."""
+    """All connected labeled graphs on 1..n, ascending by edge-set bitmask.
+
+    Bit i of the mask is the pair ``pairs[i]``.  The rows are kept from one
+    mask to the next: mask - 1 and mask differ exactly in the bits at and
+    below the lowest set bit of mask, so only those pairs are toggled."""
     if n > 6:
         raise TooLarge("exhaustive enumeration is limited to n <= 6")
+    if n == 0:
+        return  # no vertex, so no component
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    full = (1 << n) - 1
+    adj = [0] * (n + 1)
     for mask in range(1 << len(pairs)):
-        adj = [0] * (n + 1)
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << (v - 1)
-            adj[v] |= 1 << (u - 1)
-            m ^= low
-        g = Graph(n, tuple(adj))
-        if is_connected(g):
-            yield g
+        for u, v in pairs[: (mask & -mask).bit_length()]:
+            adj[u] ^= 1 << (v - 1)
+            adj[v] ^= 1 << (u - 1)
+        seen = grow = 1  # closure from vertex 1
+        while grow:
+            reach = 0
+            for v in iter_bits(grow):
+                reach |= adj[v]
+            grow = reach & ~seen
+            seen |= grow
+        if seen == full:
+            yield Graph(n, tuple(adj))
 
 
 # --- adversarial certificate strategies --------------------------------------

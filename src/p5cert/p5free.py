@@ -25,6 +25,7 @@ from .codec import (
     decode_partitioning,
     encode_certificate,
     encode_partitioning,
+    write_row,
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
@@ -58,22 +59,27 @@ class Contradiction(P5CertError):
 
 
 def prove(g: Graph) -> CertificateAssignment:
-    """Honest certificates; succeeds on every connected P5-free graph."""
+    """Honest certificates; succeeds on every connected P5-free graph.
+
+    Each bag is encoded once with a zero row (a big bag once per member,
+    since its members carry different pieces), and each member writes its
+    own row into that encoding (see ``codec``)."""
+    n, adj = g.n, g.adj
     tp = build_tree_partition(g)
-    part_bits = encode_partitioning(tp, g.n)
+    part_bits = encode_partitioning(tp, n)
     subtree = tp.subtree_masks()
-    entries: dict[int, tuple[NeighborhoodRow, ...]] = {}
+    certs: CertificateAssignment = dict.fromkeys(g.vertices())  # in vertex order
     for node, bag in enumerate(tp.bags):
         members = bag.sorted_members()
-        if bag_is_small(bag, g.n):
-            rows = tuple(NeighborhoodRow(m, g.adj[m]) for m in members)
-            entries.update((m, rows) for m in members)
+        if bag_is_small(bag, n):
+            rows = tuple(NeighborhoodRow(m, adj[m]) for m in members)
+            body = encode_certificate(EncodedCertificate(n, 0, part_bits, rows), n)
+            for m in members:
+                certs[m] = write_row(body, adj[m], n)
         else:
-            entries.update(zip(members, _round_robin(g, members, subtree[node])))
-    certs: CertificateAssignment = {}
-    for v in g.vertices():
-        cert = EncodedCertificate(g.n, g.adj[v], part_bits, entries[v])
-        certs[v] = encode_certificate(cert, g.n)
+            for m, rows in zip(members, _round_robin(g, members, subtree[node])):
+                body = encode_certificate(EncodedCertificate(n, 0, part_bits, rows), n)
+                certs[m] = write_row(body, adj[m], n)
     return certs
 
 

@@ -4,13 +4,21 @@ import itertools
 import random
 
 from p5cert.bits import BitReader, Bits, BitUnderflow, BitWriter
-from p5cert.codec import EncodedCertificate, NeighborhoodRow, idwidth, plen_width
+from p5cert.codec import (
+    EncodedCertificate,
+    NeighborhoodRow,
+    encode_certificate,
+    encode_partitioning,
+    idwidth,
+    plen_width,
+)
 from p5cert.errors import (
     GenerationBudgetExceeded,
     MalformedCertificate,
     MalformedPartitioning,
     MalformedTreeEncoding,
     OutOfRangeVertex,
+    TooLarge,
 )
 from p5cert.graphs import (
     Graph,
@@ -25,7 +33,8 @@ from p5cert.graphs import (
     set_of,
 )
 from p5cert.harness import _RECONNECT_ROUNDS, _derived_rng
-from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
+from p5cert.p5free import _round_robin, bag_is_small
+from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, build_tree_partition
 
 
 def reference_find_induced_path(g: Graph, k: int):
@@ -864,3 +873,47 @@ def reference_partition_index(part_bits: Bits, n: int):
         intra_nonedge=tuple(intra_nonedge),
         cross_nonedge=tuple(cross_nonedge),
     )
+
+
+# --- the prover as it encoded one certificate per vertex -------------------
+
+
+def reference_prove(g: Graph):
+    """``p5free.prove`` with every certificate encoded from scratch,
+    row included; oracle for the per-bag encoding."""
+    tp = build_tree_partition(g)
+    part_bits = encode_partitioning(tp, g.n)
+    subtree = tp.subtree_masks()
+    entries: dict[int, tuple[NeighborhoodRow, ...]] = {}
+    for node, bag in enumerate(tp.bags):
+        members = bag.sorted_members()
+        if bag_is_small(bag, g.n):
+            rows = tuple(NeighborhoodRow(m, g.adj[m]) for m in members)
+            entries.update((m, rows) for m in members)
+        else:
+            entries.update(zip(members, _round_robin(g, members, subtree[node])))
+    certs = {}
+    for v in g.vertices():
+        cert = EncodedCertificate(g.n, g.adj[v], part_bits, entries[v])
+        certs[v] = encode_certificate(cert, g.n)
+    return certs
+
+
+def reference_enumerate_connected_graphs(n: int):
+    """``harness.enumerate_connected_graphs`` building each graph from its
+    edge mask and testing connectivity with ``is_connected``; oracle."""
+    if n > 6:
+        raise TooLarge("exhaustive enumeration is limited to n <= 6")
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for mask in range(1 << len(pairs)):
+        adj = [0] * (n + 1)
+        m = mask
+        while m:
+            low = m & -m
+            u, v = pairs[low.bit_length() - 1]
+            adj[u] |= 1 << (v - 1)
+            adj[v] |= 1 << (u - 1)
+            m ^= low
+        g = Graph(n, tuple(adj))
+        if is_connected(g):
+            yield g

@@ -11,15 +11,16 @@ a check would fail here rather than go unnoticed.
 import collections
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 import p5cert as pc
 from p5cert import p5free
 from p5cert.bits import Bits
-from p5cert.codec import EncodedCertificate, NeighborhoodRow, idwidth, plen_width
+from p5cert.codec import EncodedCertificate, NeighborhoodRow, idwidth, plen_width, write_row
 from p5cert.errors import P5CertError
-from p5cert.harness import GeneratorSpec, generate, p5free_corpus
+from p5cert.harness import GeneratorSpec, _random_false_partition, generate, p5free_corpus
 from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
 from helpers import (
     nested_to_tree,
@@ -322,6 +323,49 @@ def test_encode_fields_that_do_not_fit():
             "partition of #..# cannot be encoded for n=#": 2,
         },
     )
+
+
+def row_written(cert: EncodedCertificate, n: int) -> Bits:
+    """``cert`` encoded with a zero row, then its row written in, as ``prove``
+    builds every certificate."""
+    return write_row(pc.encode_certificate(replace(cert, neighbors_part=0), n), cert.neighbors_part, n)
+
+
+def test_write_row_matches_encode_certificate():
+    rng = random.Random(2002)
+    tally = collections.Counter()
+    for n, b in sample_certificates():
+        cert = pc.decode_certificate(b, n)
+        rows = (cert.neighbors_part, 0, (1 << n) - 1, rng.getrandbits(n), 1 << n, rng.getrandbits(n + 8) | 1 << n, -1)
+        for row in rows:
+            o = same(row_written, reference_encode_certificate, replace(cert, neighbors_part=row), n)
+            tally[outcome_class(o)] += 1
+    require_floors(
+        tally,
+        {
+            "decodes": 600,
+            "field does not fit: # does not fit in # bits": 300,
+            "field does not fit: -# does not fit in # bits": 150,
+        },
+    )
+
+
+def test_encode_partitioning_on_trees_not_numbered_in_preorder():
+    # builder partitions are numbered in preorder, so an encoder that took the
+    # bags in index order would pass every other test; the lying-partition
+    # adversary's trees are numbered as their nodes are made
+    rng = random.Random(2001)
+    tally = collections.Counter()
+    unordered = 0
+    for n in range(1, 41):
+        for _ in range(10):
+            tp = _random_false_partition(n, rng)
+            unordered += list(tp.tree.preorder()) != list(range(tp.tree.node_count))
+            b = pc.encode_partitioning(tp, n)
+            assert b == reference_encode_partitioning(tp, n), (n, tp)
+            check_block(b, n, tally)
+    require_floors(tally, {"decodes": 400})
+    assert unordered >= 200, unordered
 
 
 def test_partition_index_matches_reference_on_random_partitions():

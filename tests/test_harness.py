@@ -19,7 +19,7 @@ from p5cert.harness import (
     repair_to_p5_free,
 )
 from p5cert.p5free import _decode, scheme
-from helpers import reference_find_induced_path, reference_generate
+from helpers import reference_enumerate_connected_graphs, reference_find_induced_path, reference_generate
 
 SCHEME = scheme()
 
@@ -124,6 +124,20 @@ def test_enumerate_n5_count_by_union_find(connected_graphs):
 def test_enumerate_too_large():
     with pytest.raises(TooLarge):
         list(pc.enumerate_connected_graphs(7))
+
+
+def test_enumerate_matches_reference():
+    # rows kept from one mask to the next: same graphs in the same order as
+    # building each graph from its mask
+    counts = []
+    for n in range(7):
+        got = list(pc.enumerate_connected_graphs(n))
+        assert got == list(reference_enumerate_connected_graphs(n)), n
+        counts.append(len(got))
+    assert counts == [0, 1, 1, 4, 38, 728, 26704]
+    for enumerate_graphs in (pc.enumerate_connected_graphs, reference_enumerate_connected_graphs):
+        with pytest.raises(TooLarge, match="limited to n <= 6"):
+            next(enumerate_graphs(7))
 
 
 def test_adversarial_streams_deterministic(p5_graph):

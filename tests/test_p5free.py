@@ -10,7 +10,7 @@ import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
 from p5cert.errors import DisconnectedInput, MalformedCertificate, P5CertError, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
-from p5cert.graphs import first_known_p5, iter_bits
+from p5cert.graphs import Graph, first_known_p5, iter_bits
 from p5cert import p5free
 from p5cert.harness import (
     STRATEGIES,
@@ -33,7 +33,8 @@ from p5cert.p5free import (
     scheme,
     verify,
 )
-from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
+from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, build_tree_partition
+import helpers
 from helpers import (
     naive_transpose,
     random_graph,
@@ -42,6 +43,7 @@ from helpers import (
     reference_cross_nonedge,
     reference_find_induced_path,
     reference_find_p5_known,
+    reference_prove,
     reference_union_accepts,
 )
 
@@ -110,7 +112,8 @@ def test_pieces_for_threshold_violation(p5_graph):
         pc.pieces_for(p5_graph, tp, 0, 1)  # not a member
 
 
-def test_pieces_coverage_random_big_cliques():
+def random_big_clique_graphs():
+    """100 seeded cliques of 5-8 vertices with pendants dealt round them."""
     rng = random.Random(31)
     for _ in range(100):
         core = rng.randint(5, 8)
@@ -119,7 +122,12 @@ def test_pieces_coverage_random_big_cliques():
         edges = [(u, v) for u in range(1, core + 1) for v in range(u + 1, core + 1)]
         for i in range(pendants):
             edges.append((1 + i % core, core + 1 + i))
-        g = pc.build_graph(n, edges)
+        yield pc.build_graph(n, edges)
+
+
+def test_pieces_coverage_random_big_cliques():
+    for g in random_big_clique_graphs():
+        n = g.n
         tp = pc.build_tree_partition(g)
         bag = tp.bags[0]
         if bag_is_small(bag, n):
@@ -141,6 +149,61 @@ def test_prove_bundles_match_pieces_for():
             for member in tp.bags[node].members:
                 entries = decode_certificate(certs[member], g.n).pieces_part
                 assert list(entries) == pc.pieces_for(g, tp, node, member)
+
+
+def prove_outcome(prove_fn, g):
+    try:
+        return "certs", list(prove_fn(g).items())
+    except (P5CertError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_flawed_row(g, v, bit):
+    """g with one more bit in v's row: a self loop (bit v - 1) or a vertex
+    above n (bit n).  No graph constructor makes such rows; prove must
+    refuse them as before."""
+    adj = list(g.adj)
+    adj[v] |= 1 << bit
+    return Graph(g.n, tuple(adj))
+
+
+def test_prove_matches_reference(monkeypatch, connected_graphs, corpus_graphs):
+    # per-bag encoding gives the certificates, in the same order, or the
+    # exception of encoding every vertex from scratch
+    last = {}
+
+    def build_once(g):  # both provers share the search; run it once per graph
+        if last.get("g") is not g:
+            last.clear()
+            last["tp"] = build_tree_partition(g)
+            last["g"] = g
+        return last["tp"]
+
+    monkeypatch.setattr(p5free, "build_tree_partition", build_once)
+    monkeypatch.setattr(helpers, "build_tree_partition", build_once)
+    graphs = [g for n in range(1, 7) for g in connected_graphs[n]]
+    graphs += [g for _, g in corpus_graphs]
+    specs = [("split", 512, s) for s in (1, 2, 3)] + [("split", 1024, s) for s in (1, 3, 4)]
+    specs += [("cograph", 1024, s) for s in (1, 2)]
+    graphs += [pc.generate(GeneratorSpec(family, n, 0.5, seed)) for family, n, seed in specs]
+    graphs += random_big_clique_graphs()
+    for _, g in corpus_graphs:
+        if g.n <= 16:
+            v = g.n // 2 + 1
+            graphs += [with_flawed_row(g, v, v - 1), with_flawed_row(g, v, g.n)]
+    tally = collections.Counter()
+    for i, g in enumerate(graphs):
+        want = prove_outcome(reference_prove, g)
+        assert prove_outcome(p5free.prove, g) == want, (i, g.n)
+        if want[0] == "certs":
+            bags = last["tp"].bags
+            tally["big bags"] += sum(not bag_is_small(bag, g.n) for bag in bags)
+            tally["P3 bags"] += sum(bag.kind == P3 for bag in bags)
+        tally[want[0]] += 1
+    floors = {"certs": 27000, "P3 bags": 4000, "big bags": 100, "NoDominatingStructure": 400}
+    floors.update({"ValueError": 12, "MalformedCertificate": 12})  # the flawed rows
+    assert set(tally) == set(floors), tally
+    assert all(tally[k] >= floor for k, floor in floors.items()), tally
 
 
 def test_verify_accepts_big_clique_route():
