@@ -147,17 +147,20 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
 
     Every stage is anchored on coverage instead of scanning pairs.  A set
     S dominates ``comp`` exactly when S meets N[w] for every w in
-    ``comp``; so once the lowest member x is fixed, the other members must
-    cover rest_x = comp - N[x], one of them lies in N[w] for any chosen w
-    in rest_x, and the last one lies in N[r] for every r that the others
+    ``comp``.  So once one member y is fixed, the others must cover
+    rest_y = comp - N[y], one of them lies in N[w] for any chosen w in
+    rest_y, and the last one lies in N[r] for every r that the others
     leave uncovered.  Each restriction only drops candidates that cannot
     dominate, so every stage returns the same lexicographically first
     structure as a scan over all pairs.
 
     Every dominating set meets N[w0] for each w0 in ``comp``, as it must
-    dominate w0.  So each triple stage first asks only the y in N[w0], for
-    the w0 with the fewest neighbours, whether a dominating triple holds y
-    (``_has_dominating_triple``), and walks its lowest members only if one does.
+    dominate w0.  So the edge stage fixes only the y in N[x1], for the
+    lowest vertex x1 (``_first_dominating_edge``).  Each triple stage first
+    asks only the y in N[w0], for the w0 with the fewest neighbours,
+    whether a dominating triple holds y (``_has_dominating_triple``), and
+    only if one does walks its lowest members x in id order, with the
+    other two above x (``_first_dominating_triple``).
 
     The singleton and edge stages find their last member by witness
     narrowing (``_first_cover``): test the lowest candidate c, and if it
@@ -175,15 +178,9 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
     if v:
         return Bag(frozenset([v]), CLIQUE)
 
-    # edges {x < y}: y covers rest_x = comp - N[x]
-    m = comp
-    while m:
-        xb = m & -m
-        m ^= xb
-        x = xb.bit_length()
-        y = _first_cover(adj, adj[x] & m, comp & ~(adj[x] | xb))
-        if y:
-            return Bag(frozenset([x, y]), CLIQUE)
+    edge = _first_dominating_edge(adj, comp)
+    if edge:
+        return Bag(frozenset(edge), CLIQUE)
 
     # the anchors of the triples, fewest neighbours in comp first
     order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
@@ -211,6 +208,35 @@ def _first_cover(adj: tuple[int, ...], cands: int, left: int) -> int:
         rb = miss & -miss
         cands &= adj[rb.bit_length()] | rb
     return 0
+
+
+def _first_dominating_edge(adj: tuple[int, ...], comp: int) -> Optional[tuple[int, int]]:
+    """Lexicographically first dominating edge (p, q), p < q, of comp, or None.
+
+    Every dominating edge dominates the lowest vertex x1, so it has an end
+    in N[x1].  The y of N[x1] are tried in ascending order, each with its
+    lowest partner among the vertices not tried before it, so the first
+    edge has its partner in the candidates of its first end in N[x1].  With
+    y fixed, a lower partner gives a lower sorted pair.  An edge through x1
+    comes before every other, so x1's partner ends the search.  Once (p, q)
+    is found, every later y is above p, so only a partner below p can win.
+    """
+    x1b = comp & -comp
+    near = (adj[x1b.bit_length()] | x1b) & comp
+    m = comp  # the partners still allowed
+    best = None
+    while near and m:
+        yb = near & -near
+        near ^= yb
+        m &= ~yb
+        y = yb.bit_length()
+        z = _first_cover(adj, adj[y] & m, comp & ~(adj[y] | yb))
+        if z:
+            if yb == x1b:
+                return y, z
+            best = (z, y) if z < y else (y, z)
+            m &= (1 << (best[0] - 1)) - 1
+    return best
 
 
 def _pairs(

@@ -34,7 +34,7 @@ from p5cert.graphs import (
 )
 from p5cert.harness import _RECONNECT_ROUNDS, _derived_rng
 from p5cert.p5free import _round_robin, bag_is_small
-from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, build_tree_partition
+from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, _first_cover, build_tree_partition
 
 
 def reference_find_induced_path(g: Graph, k: int):
@@ -219,6 +219,23 @@ def reference_dominating_structure(g: Graph, comp: int):
     found = _reference_maximal_clique(g, comp)
     if found is not None:
         return Bag(set_of(found), CLIQUE)
+    return None
+
+
+def reference_first_dominating_edge(adj: tuple[int, ...], comp: int):
+    """The edge stage's walk over every lowest member x, before its anchor on N[x1].
+
+    For each x of comp in id order, the partner y > x comes from witness
+    narrowing over N(x); the first x with one gives the first edge (x, y).
+    """
+    m = comp
+    while m:
+        xb = m & -m
+        m ^= xb
+        x = xb.bit_length()
+        y = _first_cover(adj, adj[x] & m, comp & ~(adj[x] | xb))
+        if y:
+            return x, y
     return None
 
 

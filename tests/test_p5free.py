@@ -8,7 +8,7 @@ import pytest
 
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
-from p5cert.errors import DisconnectedInput, MalformedCertificate, P5CertError, ThresholdViolation
+from p5cert.errors import DisconnectedInput, MalformedCertificate, NoDominatingStructure, P5CertError, ThresholdViolation
 from p5cert.framework import Verdict, format_run_report, local_view
 from p5cert.graphs import Graph, first_known_p5, iter_bits
 from p5cert import p5free
@@ -136,6 +136,27 @@ def test_pieces_coverage_random_big_cliques():
         for member in bag.members:
             covered.update(e.owner for e in pc.pieces_for(g, tp, 0, member))
         assert covered == set(range(1, n + 1))
+
+
+def test_pieces_entries_within_bound(connected_graphs, corpus_graphs):
+    # a small clique bag has at most ceil(sqrt n) members, a P3 bag 3, and a
+    # member of a big bag carries its own row and at most ceil(sqrt n) more
+    graphs = [g for n in range(1, 7) for g in connected_graphs[n]]
+    graphs += [g for _, g in corpus_graphs]
+    graphs += [pc.generate(GeneratorSpec("split", 1024, 0.5, seed)) for seed in (1, 2, 3, 4)]
+    checked, worst = 0, 0.0
+    for g in graphs:
+        try:
+            certs = pc.prove(g)
+        except NoDominatingStructure:
+            continue
+        bound = max(3, ceil_sqrt(g.n) + 1)
+        for v, b in certs.items():
+            entries = len(decode_certificate(b, g.n).pieces_part)
+            assert entries <= bound, (g.n, v, entries)
+            worst = max(worst, entries / bound)
+        checked += len(certs)
+    assert checked >= 166_000 and worst > 0.85, (checked, worst)
 
 
 def test_prove_bundles_match_pieces_for():
@@ -624,6 +645,61 @@ def test_closure_matches_reference():
         if want is not None:
             outcomes["clash" if isinstance(want, tuple) else "map"] += 1
     assert min(outcomes.values()) > 50, outcomes
+
+
+def test_extra_row_claims_only_add_knowledge():
+    # F2: an extra row claim only adds known pairs or contradictions, so it
+    # never turns a reject into an accept; 1-3 random rows appended to the
+    # claims of every n = 5 view, under honest and fuzzed certificates
+    rng = random.Random(55)
+    cases = []
+    for i, g in enumerate(pc.enumerate_connected_graphs(5)):
+        cases.append((g, honest_best_effort(g, rng)))
+        if not pc.oracle_is_p5_free(g):
+            kind = STRATEGIES[i % len(STRATEGIES)]
+            cases += [(g, certs) for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 3, i))]
+
+    def outcome(claims, pidx):
+        try:
+            return _closure(5, claims, pidx)
+        except Contradiction:
+            return None
+
+    seen = collections.Counter()
+    for g, certs in cases:
+        dec = {}
+        for v, b in certs.items():
+            try:
+                dec[v] = decode_certificate(b, 5)
+            except MalformedCertificate:
+                pass
+        for u in g.vertices():
+            nbrs = [(w, dec.get(w)) for w in iter_bits(g.adj[u])]
+            if u not in dec or any(d is None for _, d in nbrs):
+                continue
+            pidx = _partition_index(dec[u].partitioning_part, 5)
+            if pidx is None:
+                continue
+            claims = _row_claims(u, g.adj[u], dec[u], nbrs)
+            before = outcome(claims, pidx)
+            for _ in range(3):
+                extras = []
+                for _ in range(rng.randint(1, 3)):
+                    owner = rng.randint(1, 5)
+                    extras.append((owner, rng.getrandbits(5) & ~(1 << (owner - 1)), "extra"))
+                after = outcome(claims + extras, pidx)
+                if before is None:
+                    assert after is None, (g.adj, u, extras)
+                    seen["clash stays"] += 1
+                elif after is None:
+                    seen["new clash"] += 1
+                else:
+                    for x in range(1, 6):
+                        assert before.edge[x] & ~after.edge[x] == 0, (g.adj, u, extras)
+                        assert before.nonedge[x] & ~after.nonedge[x] == 0, (g.adj, u, extras)
+                    seen["kept"] += 1
+    for key, floor in {"kept": 250, "new clash": 10_000, "clash stays": 1000}.items():
+        assert seen[key] >= floor, seen
 
 
 def test_cross_nonedge_matches_reference(corpus_graphs):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import p5cert as pc
+from p5cert import treepart
 from p5cert.errors import DisconnectedInput, NoDominatingStructure
 from p5cert.graphs import build_graph, component_masks, iter_bits
 from p5cert.harness import FAMILIES, GeneratorSpec
@@ -14,6 +15,8 @@ from p5cert.treepart import (
     RootedTree,
     TreePartition,
     Violation,
+    _first_cover,
+    _first_dominating_edge,
     _first_dominating_triple,
     _has_dominating_triple,
     find_dominating_structure_in,
@@ -25,6 +28,7 @@ from helpers import (
     random_tree_partition,
     reference_cross_nonedge,
     reference_dominating_structure,
+    reference_first_dominating_edge,
 )
 
 
@@ -181,6 +185,78 @@ def test_triple_existence_matches_search_and_reference(connected_graphs):
     }
     for key, floor in floors.items():
         assert seen[key] >= floor, seen
+
+
+def _build_steps(g):
+    # every component the builder peels, with the bag it finds there
+    stack = [g.full_mask]
+    while stack:
+        comp = stack.pop()
+        bag = find_dominating_structure_in(g, comp)
+        yield comp, bag
+        stack.extend(component_masks(g, comp & ~bag.mask))
+
+
+def test_first_dominating_edge_matches_walk(connected_graphs):
+    # the edge stage anchored on N[x1] against the walk over every lowest
+    # member, on every component where no singleton dominates
+    cases = [(g, g.full_mask) for n in range(1, 7) for g in connected_graphs[n]]
+    cases += _random_submask_components()
+    for family, n, seeds in (("split", 512, range(1, 6)), ("cograph", 1024, (1,))):
+        for seed in seeds:
+            g = pc.generate(GeneratorSpec(family, n, 0.5, seed))
+            cases += [(g, comp) for comp, _ in _build_steps(g)]
+    seen = Counter()
+    for g, comp in cases:
+        adj = g.adj
+        if _first_cover(adj, comp, comp):
+            continue
+        got = _first_dominating_edge(adj, comp)
+        assert got == reference_first_dominating_edge(adj, comp), (g.adj, comp)
+        x1b = comp & -comp
+        x1 = x1b.bit_length()
+        near = (adj[x1] | x1b) & comp
+        if got is None:
+            assert near != comp
+            seen["none"] += 1
+        elif x1 not in got:
+            seen["without x1"] += 1
+        # a later y of N[x1] whose partners reach p, the lower end of the
+        # best pair known before it: the cut below p drops them
+        tried, p = 0, None
+        for y in iter_bits(near):
+            yb = 1 << (y - 1)
+            tried |= yb
+            cands = adj[y] & comp & ~tried
+            if p is not None and cands >> (p - 1):
+                seen["cut"] += 1
+                break
+            z = _first_cover(adj, cands, comp & ~(adj[y] | yb))
+            if z:
+                if y == x1:
+                    break
+                p = min(y, z) if p is None else min(p, y, z)
+    floors = {"without x1": 7500, "none": 5800, "cut": 3600}
+    for key, floor in floors.items():
+        assert seen[key] >= floor, seen
+
+
+@pytest.mark.parametrize("seed, most", [(2, 136), (3, 79)])
+def test_edge_stage_tries_only_the_anchor(monkeypatch, seed, most):
+    # split n=512 seeds 2 and 3 have edge stages that fail: the walk over
+    # every lowest member made 2,132 and 1,872 cover calls in them
+    calls = []
+    cover = treepart._first_cover
+    monkeypatch.setattr(treepart, "_first_cover", lambda *args: calls.append(args) or cover(*args))
+    g = pc.generate(GeneratorSpec("split", 512, 0.5, seed))
+    total = 0
+    for comp, _ in _build_steps(g):
+        edge_calls = len(calls) - 1  # less the singleton stage's call
+        calls.clear()
+        x1b = comp & -comp
+        assert edge_calls <= ((g.adj[x1b.bit_length()] | x1b) & comp).bit_count(), comp
+        total += edge_calls
+    assert total <= most
 
 
 @pytest.mark.parametrize("k", range(3, 9))
