@@ -53,7 +53,6 @@ from .p5free import (
     ceil_sqrt,
     find_known_induced_p5,
     knowledge_closure,
-    pieces_for,
     prove,
     verify,
     verify_all,

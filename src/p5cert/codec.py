@@ -23,6 +23,13 @@ The length field is 3 bits wider than the two-id field one might expect:
 for n = 3 an all-singleton partition occupies 19 bits, which already
 overflows 2*idwidth = 4 bits.
 
+No honest certificate exceeds B(n) = n + (2w+3) + [n(2w+3) - 2] + w +
+max(3, ceil(sqrt n)+1)(w+n), w = idwidth(n): the row, the length field, the
+block at its longest (t = n, as bags are nonempty and disjoint), the count
+field, and entries of w + n bits: one per member of a small bag (at most 3
+in a P3, ceil(sqrt n) in a clique); a member of a big bag, k > ceil(sqrt n)
+members, holds its own row and at most ceil(n/k) <= ceil(sqrt n) others.
+
 How fields are written: the neighbor row comes first and its field has a
 fixed width, so a certificate encoded with a zero row differs from the
 same certificate with row r only in its leading n bits.  The members of

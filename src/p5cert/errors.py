@@ -63,10 +63,6 @@ class CertificateFormatError(P5CertError):
     """Strict certificate-file parsing failure."""
 
 
-class ThresholdViolation(P5CertError):
-    """Round-robin piece assignment requested for a bag below the size threshold."""
-
-
 # framework / harness
 
 class MissingCertificate(P5CertError):

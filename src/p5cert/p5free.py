@@ -27,7 +27,7 @@ from .codec import (
     encode_partitioning,
     write_row,
 )
-from .errors import MalformedCertificate, MalformedPartitioning, P5CertError, ThresholdViolation
+from .errors import MalformedCertificate, MalformedPartitioning, P5CertError
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
 from .graphs import Graph, first_known_p5, iter_bits
 from .treepart import CLIQUE, P3, Bag, TreePartition, build_tree_partition
@@ -83,26 +83,11 @@ def prove(g: Graph) -> CertificateAssignment:
     return certs
 
 
-def pieces_for(g: Graph, tp: TreePartition, bag_node: int, member: int) -> list[NeighborhoodRow]:
-    """Round-robin share of subtree rows for one member of a big clique bag.
-
-    The j-th vertex of the subtree (ascending) goes to the (j mod k)-th bag
-    member (ascending); every member carries its own row first, so the
-    bundle size stays within ceil(|subtree|/k) + 1 and the members' bundles
-    jointly cover the whole subtree.
-    """
-    bag = tp.bags[bag_node]
-    if member not in bag.members:
-        raise ValueError(f"vertex {member} not in bag {bag_node}")
-    if bag_is_small(bag, tp.n):
-        raise ThresholdViolation("round-robin pieces need a clique bag above the size threshold")
-    members = bag.sorted_members()
-    bundles = _round_robin(g, members, tp.subtree_masks()[bag_node])
-    return list(bundles[members.index(member)])
-
-
 def _round_robin(g: Graph, members: tuple[int, ...], subtree: int) -> list[tuple[NeighborhoodRow, ...]]:
-    """Every member's bundle (see ``pieces_for``) from one walk of the subtree."""
+    """Pieces bundles of the k members of a big clique bag, in member order:
+    the j-th subtree vertex goes to the (j mod k)-th member (both ascending),
+    after each member's own row, so a bundle holds at most ceil(|subtree|/k)
+    + 1 rows and the bundles jointly cover the subtree."""
     k = len(members)
     bundles = [[NeighborhoodRow(m, g.adj[m])] for m in members]
     for j, v in enumerate(iter_bits(subtree)):
@@ -131,7 +116,6 @@ class PartitionIndex:
     node_of: tuple[int, ...]  # vertex -> tree node (index 0 unused)
     members_mask: tuple[int, ...]  # per node
     subtree_mask: tuple[int, ...]  # per node, recomputed, never trusted from certificates
-    strict_ancestors: tuple[tuple[int, ...], ...]  # per node, root first
     intra_edge: tuple[int, ...]  # per vertex: the pairs its bag claims are edges
     intra_nonedge: tuple[int, ...]  # per vertex: the pairs its bag claims are non-edges
     # per vertex in bag i: every vertex outside the strict ancestors' bags and
@@ -156,7 +140,6 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
 
     full = (1 << n) - 1
     above = [0] * t  # vertex mask of the strict ancestors' bags
-    strict_anc: list[tuple[int, ...]] = [()] * t
     node_of = [0] * (n + 1)
     intra_edge = [0] * (n + 1)
     intra_nonedge = [0] * (n + 1)
@@ -165,7 +148,6 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         if node:
             p = parent[node]
             above[node] = above[p] | members_mask[p]
-            strict_anc[node] = strict_anc[p] + (p,)
         other = full & ~above[node] & ~subtree[node]
         m = rest = members_mask[node]
         while rest:
@@ -186,7 +168,6 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         node_of=tuple(node_of),
         members_mask=members_mask,
         subtree_mask=tuple(subtree),
-        strict_ancestors=tuple(strict_anc),
         intra_edge=tuple(intra_edge),
         intra_nonedge=tuple(intra_nonedge),
         cross_nonedge=tuple(cross_nonedge),
@@ -452,9 +433,13 @@ def _steps_iii_iv(
         if bag.kind == CLIQUE:
             return Verdict(False, "iii", f"not adjacent to bag member {(bad & -bad).bit_length()}")
         return Verdict(False, "iii", f"own role in P3 bag {'-'.join(map(str, bag.p3_order))} does not match adjacency")
-    for t_node in pidx.strict_ancestors[s]:
-        if not pidx.members_mask[t_node] & nbr_mask:
-            return Verdict(False, "iii", f"no neighbor in ancestor bag {t_node}")
+    miss, a = None, s
+    while a:  # up to node 0, the root; the highest ancestor bag missed counts
+        a = pidx.tp.tree.parent[a]
+        if not pidx.members_mask[a] & nbr_mask:
+            miss = a
+    if miss is not None:
+        return Verdict(False, "iii", f"no neighbor in ancestor bag {miss}")
     stray = nbr_mask & pidx.cross_nonedge[u]
     if stray:
         return Verdict(False, "iii", f"neighbor {(stray & -stray).bit_length()} lies in an unrelated branch")

@@ -156,11 +156,9 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
 
     Every dominating set meets N[w0] for each w0 in ``comp``, as it must
     dominate w0.  So the edge stage fixes only the y in N[x1], for the
-    lowest vertex x1 (``_first_dominating_edge``).  Each triple stage first
-    asks only the y in N[w0], for the w0 with the fewest neighbours,
-    whether a dominating triple holds y (``_has_dominating_triple``), and
-    only if one does walks its lowest members x in id order, with the
-    other two above x (``_first_dominating_triple``).
+    lowest vertex x1 (``_first_dominating_edge``), and each triple stage
+    first tries only the y in N[w0], for the w0 with the fewest neighbours
+    (``_first_dominating_triple``).
 
     The singleton and edge stages find their last member by witness
     narrowing (``_first_cover``): test the lowest candidate c, and if it
@@ -184,10 +182,11 @@ def find_dominating_structure_in(g: Graph, comp: int) -> Optional[Bag]:
 
     # the anchors of the triples, fewest neighbours in comp first
     order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
-    if _has_dominating_triple(adj, comp, order, True):
-        return Bag(frozenset(_first_dominating_triple(adj, comp, order, True)), CLIQUE)
-    if _has_dominating_triple(adj, comp, order, False):
-        found = _first_dominating_triple(adj, comp, order, False)
+    found = _first_dominating_triple(adj, comp, order, True)
+    if found:
+        return Bag(frozenset(found), CLIQUE)
+    found = _first_dominating_triple(adj, comp, order, False)
+    if found:
         return Bag(frozenset(found), P3, as_induced_p3(g, found))
 
     # maximal cliques, Bron-Kerbosch with pivot, iterative
@@ -282,18 +281,18 @@ def _pairs(
             yield (c, b) if c < b else (b, c)
 
 
-def _has_dominating_triple(
+def _first_dominating_triple(
     adj: tuple[int, ...], comp: int, order: list[int], triangle: bool
-) -> bool:
-    """Whether comp has a dominating triangle (or induced P3) at all.
+) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first dominating triangle (or induced P3) of comp, or None.
 
-    Every dominating set meets N[w0] for w0 = ``order[0]``, so only the y
-    in N[w0] are tried, the most connected first (the likeliest members).
-    As in the walk over lowest members, a tried y is no partner for the
-    later ones: a triple holding it would have been found with it.
+    Every dominating triple meets N[w0], w0 = ``order[0]``, so the y in N[w0]
+    are tried first, most connected first; a tried y is no partner for later
+    ones, as a triple holding it would have been found with it.  Only if one
+    completes a triple does the lowest member x run over comp, with the other
+    two above x (neighbours of x, for a triangle).
     """
-    w0 = order[0]
-    near = adj[w0] | 1 << (w0 - 1)
+    near = adj[order[0]] | 1 << (order[0] - 1)
     m = comp
     for y in reversed(order):
         yb = 1 << (y - 1)
@@ -301,18 +300,9 @@ def _has_dominating_triple(
             m ^= yb
             pool = adj[y] & m if triangle else m
             if any(_pairs(adj, comp, order, y, pool, triangle)):
-                return True
-    return False
-
-
-def _first_dominating_triple(
-    adj: tuple[int, ...], comp: int, order: list[int], triangle: bool
-) -> Optional[tuple[int, int, int]]:
-    """Lexicographically first dominating triangle (or induced P3) of comp.
-
-    The lowest member x runs over comp; the other two come from the
-    members of comp above x (neighbours of x, for a triangle).
-    """
+                break
+    else:
+        return None
     m = comp
     while m:
         xb = m & -m
@@ -412,11 +402,11 @@ class Violation:
 def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
     """None if the partition is valid for g, else the first violation.
 
-    Check order: the partition property, then per node in preorder the bag
-    shape (1), domination of the subtree's subgraph (2) and the component
-    split (3).  A partition that passes (3) has every edge inside one bag or
-    between ancestor-related bags, since the ends of an edge always share a
-    component of the remainder at their lowest common ancestor.
+    Check order: the partition property, then the bag shape (1) at every
+    node in preorder, then domination of each subtree (2) at every node,
+    then the component split (3) at every node.  Passing (3) puts every edge
+    inside one bag or between ancestor-related bags, since the ends of an
+    edge share a component of the remainder at their lowest common ancestor.
     """
     if tp.n != g.n:
         return Violation("partition", f"partition covers 1..{tp.n}, graph has n={g.n}")

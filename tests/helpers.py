@@ -34,7 +34,7 @@ from p5cert.graphs import (
 )
 from p5cert.harness import _RECONNECT_ROUNDS, _derived_rng
 from p5cert.p5free import _round_robin, bag_is_small
-from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, _first_cover, build_tree_partition
+from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, _first_cover, _pairs, build_tree_partition
 
 
 def reference_find_induced_path(g: Graph, k: int):
@@ -236,6 +236,26 @@ def reference_first_dominating_edge(adj: tuple[int, ...], comp: int):
         y = _first_cover(adj, adj[x] & m, comp & ~(adj[x] | xb))
         if y:
             return x, y
+    return None
+
+
+def reference_first_dominating_triple(adj: tuple[int, ...], comp: int, order: list[int], triangle: bool):
+    """The triple stage's walk over every lowest member x, with no refutation
+    over N[w0] before it.
+
+    For each x of comp in id order, the other two come from the members of
+    comp above x (neighbours of x, for a triangle); the first x with a pair
+    gives the first triple.
+    """
+    m = comp
+    while m:
+        xb = m & -m
+        m ^= xb
+        x = xb.bit_length()
+        pool = adj[x] & m if triangle else m
+        pair = min(_pairs(adj, comp, order, x, pool, triangle), default=None)
+        if pair is not None:
+            return (x,) + pair
     return None
 
 
@@ -485,6 +505,19 @@ def reference_bag_test(bag: Bag, u: int, nbr_mask: int):
     else:
         case = "endpoint-other" if adjacent(c if u == a else a) else None
     return case and (case, f"own role in P3 bag {a}-{b}-{c} does not match adjacency")
+
+
+def reference_ancestor_misses(tree: RootedTree, members_mask, s: int, nbr_mask: int) -> list[int]:
+    """The strict ancestors of node s, root first, whose bags hold no
+    neighbour in ``nbr_mask``; listed from ``tree.parent``.  Step (iii)'s
+    ancestor test, as the verifier first wrote it, reports the first one;
+    oracle."""
+    ancestors = []
+    a = tree.parent[s]
+    while a is not None:
+        ancestors.append(a)
+        a = tree.parent[a]
+    return [a for a in reversed(ancestors) if not members_mask[a] & nbr_mask]
 
 
 def reference_union_accepts(g: Graph, certs) -> bool:
@@ -854,13 +887,11 @@ def reference_partition_index(part_bits: Bits, n: int):
 
     full = (1 << n) - 1
     above = [0] * t  # vertex mask of the strict ancestors' bags
-    strict_anc: list[tuple[int, ...]] = [()] * t
     cross_nonedge = [0] * (n + 1)
     for node in tree.preorder():
         p = tree.parent[node]
         if p is not None:
             above[node] = above[p] | members_mask[p]
-            strict_anc[node] = strict_anc[p] + (p,)
         other = full & ~above[node] & ~subtree[node]
         for v in iter_bits(members_mask[node]):
             cross_nonedge[v] = other
@@ -885,7 +916,6 @@ def reference_partition_index(part_bits: Bits, n: int):
         node_of=tp.node_of(),
         members_mask=members_mask,
         subtree_mask=subtree,
-        strict_ancestors=tuple(strict_anc),
         intra_edge=tuple(intra_edge),
         intra_nonedge=tuple(intra_nonedge),
         cross_nonedge=tuple(cross_nonedge),

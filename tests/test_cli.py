@@ -1,7 +1,8 @@
 import pytest
 
 import p5cert as pc
-from p5cert.cli import cli_main
+from p5cert.baselines import universal_scheme
+from p5cert.cli import cli_main, get_scheme
 from p5cert.harness import FAMILIES
 
 
@@ -229,6 +230,20 @@ def test_scheme_selection(tmp_path, capsys):
             assert code in (0, 1)
         else:
             assert code == 0, (scheme_name, out)
+
+
+def test_universal_scheme_matches_library_oracle(corpus_graphs):
+    # the CLI's universal-p5 oracle searches the full knowledge map; the
+    # library baseline runs graphs.find_induced_path: same verdicts
+    graphs = [g for _, g in corpus_graphs]
+    graphs += [pc.generate(pc.GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
+    library = universal_scheme(pc.oracle_is_p5_free)
+    accepted = 0
+    for g in graphs:
+        got = pc.run(g, get_scheme("universal-p5"))
+        assert got == pc.run(g, library), g.adj
+        accepted += got.all_accept
+    assert accepted == len(corpus_graphs)
 
 
 def test_library_parity_with_cli(tmp_path, capsys, p5_graph):

@@ -8,8 +8,8 @@ import pytest
 
 import p5cert as pc
 from p5cert.codec import NeighborhoodRow, decode_certificate, encode_certificate, EncodedCertificate
-from p5cert.errors import DisconnectedInput, MalformedCertificate, NoDominatingStructure, P5CertError, ThresholdViolation
-from p5cert.framework import Verdict, format_run_report, local_view
+from p5cert.errors import DisconnectedInput, MalformedCertificate, NoDominatingStructure, P5CertError
+from p5cert.framework import Verdict, format_run_report, local_view, max_cert_bits
 from p5cert.graphs import Graph, first_known_p5, iter_bits
 from p5cert import p5free
 from p5cert.harness import (
@@ -24,6 +24,7 @@ from p5cert.p5free import (
     Contradiction,
     _closure,
     _partition_index,
+    _round_robin,
     _row_claims,
     _steps_iii_iv,
     _transpose,
@@ -38,6 +39,7 @@ import helpers
 from helpers import (
     naive_transpose,
     random_graph,
+    reference_ancestor_misses,
     reference_bag_test,
     reference_closure,
     reference_cross_nonedge,
@@ -91,8 +93,8 @@ def test_pieces_for_round_robin_arithmetic():
     assert root_bag.members == frozenset(range(1, 6))
     assert not bag_is_small(root_bag, g.n)  # 5 > ceil(sqrt(14)) = 4
     owners_union = set()
-    for member in sorted(root_bag.members):
-        rows = pc.pieces_for(g, tp, 0, member)
+    members = root_bag.sorted_members()
+    for member, rows in zip(members, _round_robin(g, members, tp.subtree_masks()[0])):
         assert rows[0].owner == member  # own row first
         assert len(rows) <= -(-14 // 5) + 1
         owners = [e.owner for e in rows]
@@ -102,14 +104,6 @@ def test_pieces_for_round_robin_arithmetic():
         for e in rows:
             assert e.row == g.adj[e.owner]
     assert owners_union == set(range(1, 15))
-
-
-def test_pieces_for_threshold_violation(p5_graph):
-    tp = pc.build_tree_partition(p5_graph)
-    with pytest.raises(ThresholdViolation):
-        pc.pieces_for(p5_graph, tp, 0, 3)  # P3 bag takes the small route
-    with pytest.raises(ValueError):
-        pc.pieces_for(p5_graph, tp, 0, 1)  # not a member
 
 
 def random_big_clique_graphs():
@@ -133,18 +127,19 @@ def test_pieces_coverage_random_big_cliques():
         if bag_is_small(bag, n):
             continue
         covered = set()
-        for member in bag.members:
-            covered.update(e.owner for e in pc.pieces_for(g, tp, 0, member))
+        for rows in _round_robin(g, bag.sorted_members(), tp.subtree_masks()[0]):
+            covered.update(e.owner for e in rows)
         assert covered == set(range(1, n + 1))
 
 
 def test_pieces_entries_within_bound(connected_graphs, corpus_graphs):
     # a small clique bag has at most ceil(sqrt n) members, a P3 bag 3, and a
-    # member of a big bag carries its own row and at most ceil(sqrt n) more
+    # member of a big bag carries its own row and at most ceil(sqrt n) more;
+    # the whole certificate stays within the codec's size bound B(n)
     graphs = [g for n in range(1, 7) for g in connected_graphs[n]]
     graphs += [g for _, g in corpus_graphs]
     graphs += [pc.generate(GeneratorSpec("split", 1024, 0.5, seed)) for seed in (1, 2, 3, 4)]
-    checked, worst = 0, 0.0
+    checked, worst, worst_bits = 0, 0.0, 0.0
     for g in graphs:
         try:
             certs = pc.prove(g)
@@ -156,20 +151,11 @@ def test_pieces_entries_within_bound(connected_graphs, corpus_graphs):
             assert entries <= bound, (g.n, v, entries)
             worst = max(worst, entries / bound)
         checked += len(certs)
-    assert checked >= 166_000 and worst > 0.85, (checked, worst)
-
-
-def test_prove_bundles_match_pieces_for():
-    # prove deals every big bag's rows in one walk; pieces_for is one member's view
-    for g in (k5_with_pendants(), pc.generate(GeneratorSpec("split", 80, 0.5, 6))):
-        tp = pc.build_tree_partition(g)
-        certs = pc.prove(g)
-        big = [i for i, bag in enumerate(tp.bags) if not bag_is_small(bag, g.n)]
-        assert big
-        for node in big:
-            for member in tp.bags[node].members:
-                entries = decode_certificate(certs[member], g.n).pieces_part
-                assert list(entries) == pc.pieces_for(g, tp, node, member)
+        n, w = g.n, pc.idwidth(g.n)
+        size_bound = n + (2 * w + 3) + (n * (2 * w + 3) - 2) + w + bound * (w + n)
+        assert max_cert_bits(certs) <= size_bound, (n, max_cert_bits(certs), size_bound)
+        worst_bits = max(worst_bits, max_cert_bits(certs) / size_bound)
+    assert checked >= 166_000 and worst > 0.85 and worst_bits > 0.84, (checked, worst, worst_bits)
 
 
 def prove_outcome(prove_fn, g):
@@ -718,12 +704,15 @@ def test_bag_test_matches_role_reference():
     # every connected graph with n <= 5 and three with-p5 graphs, each under
     # its honest partition (of a P5-free repair where it has none) and under
     # random well-formed ones; rows are true and no pieces are carried, so a
-    # vertex that passes step (iii) fails step (iv) at worst
+    # vertex that passes step (iii) fails step (iv) at worst.  Where the bag
+    # test passes, the ancestor test must name the highest ancestor bag that
+    # holds no neighbour, as the root-first walk does
     rng = random.Random(19)
     graphs = [g for n in range(1, 6) for g in pc.enumerate_connected_graphs(n)]
     graphs += [pc.generate(GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
     bag_witnesses = ("not adjacent to bag member", "own role in P3 bag")
     cases = collections.Counter()
+    multi_miss = 0  # views missing two or more ancestor bags
     for g in graphs:
         try:
             honest = pc.build_tree_partition(g)
@@ -739,10 +728,17 @@ def test_bag_test_matches_role_reference():
                 if want is None:
                     cases["fits"] += 1
                     assert got is None or not got.witness.startswith(bag_witnesses), (g.adj, tp, u, got)
+                    misses = reference_ancestor_misses(pidx.tp.tree, pidx.members_mask, pidx.node_of[u], g.adj[u])
+                    if misses:
+                        assert got == Verdict(False, "iii", f"no neighbor in ancestor bag {misses[0]}"), (g.adj, tp, u, got)
+                    else:
+                        assert got is None or not got.witness.startswith("no neighbor in ancestor bag"), (g.adj, tp, u, got)
+                    multi_miss += len(misses) >= 2
                 else:
                     cases[want[0]] += 1
                     assert got == Verdict(False, "iii", want[1]), (g.adj, tp, u, got)
     assert len(cases) == 5 and min(cases.values()) >= 300, cases
+    assert multi_miss >= 300, multi_miss
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 65, 200, 1024])

@@ -18,7 +18,6 @@ from p5cert.treepart import (
     _first_cover,
     _first_dominating_edge,
     _first_dominating_triple,
-    _has_dominating_triple,
     find_dominating_structure_in,
     format_tree_partition,
 )
@@ -29,6 +28,7 @@ from helpers import (
     reference_cross_nonedge,
     reference_dominating_structure,
     reference_first_dominating_edge,
+    reference_first_dominating_triple,
 )
 
 
@@ -150,9 +150,10 @@ def test_dominating_structure_matches_reference_on_large_build_steps():
 
 
 def test_triple_existence_matches_search_and_reference(connected_graphs):
-    # the refutation that runs before each triple stage, on every component
-    # where no singleton or edge dominates: all connected graphs with n <= 6,
-    # random submasks, and the triple-stage components of split n=512
+    # the triple stage, refutation first, against the walk alone, on every
+    # component where no singleton or edge dominates: all connected graphs
+    # with n <= 6, random submasks, and the triple-stage components of split
+    # n=512
     cases = [(g, g.full_mask) for n in range(1, 7) for g in connected_graphs[n]]
     cases += _random_submask_components()
     for seed in (1, 2, 3):
@@ -172,9 +173,9 @@ def test_triple_existence_matches_search_and_reference(connected_graphs):
         adj = g.adj
         order = sorted(iter_bits(comp), key=lambda v: (adj[v] & comp).bit_count())
         for shape, triangle in (("triangle", True), ("p3", False)):
-            has = _has_dominating_triple(adj, comp, order, triangle)
             first = _first_dominating_triple(adj, comp, order, triangle)
-            assert has == (first is not None), (shape, g.adj, comp)
+            assert first == reference_first_dominating_triple(adj, comp, order, triangle), (shape, g.adj, comp)
+            has = first is not None
             # the reference names a P3 only where no triangle dominates
             if triangle or want != "triangle":
                 assert has == (want == shape), (shape, want, g.adj, comp)
