@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .bits import BitReader, Bits, BitUnderflow, BitWriter
+from .bits import Bits
 from .codec import idwidth
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
 from .graphs import Graph, iter_bits, require_connected
@@ -26,10 +26,10 @@ def universal_scheme(property_oracle: Callable[[Graph], bool]) -> Scheme:
 
     def prover(g: Graph) -> CertificateAssignment:
         require_connected(g)
-        w = BitWriter()
+        n, m = g.n, 0
         for v in g.vertices():
-            w.push(g.adj[v], g.n)
-        matrix = w.result()
+            m = m << n | g.adj[v]
+        matrix = Bits(m, n * n)
         return {v: matrix for v in g.vertices()}
 
     @lru_cache(maxsize=1024)
@@ -87,24 +87,21 @@ class SpanningTreeLabel:
 
 def encode_tree_label(label: SpanningTreeLabel, n: int) -> Bits:
     w = idwidth(n)
-    out = BitWriter()
-    out.push(label.claimed_n, w + 1)
-    out.push(label.root_id, w)
-    out.push(label.parent_id, w)
-    out.push(label.dist, w)
-    out.push(label.subtree_size, w)
-    return out.result()
+    fields = (label.claimed_n, label.root_id, label.parent_id, label.dist, label.subtree_size)
+    packed = 0
+    for value, width in zip(fields, (w + 1, w, w, w, w)):
+        if value < 0 or value.bit_length() > width:
+            raise ValueError(f"{value} does not fit in {width} bits")
+        packed = packed << width | value
+    return Bits(packed, 5 * w + 1)
 
 
 def decode_tree_label(b: Bits, n: int) -> SpanningTreeLabel | None:
     w = idwidth(n)
     if b.length != 5 * w + 1:
         return None
-    r = BitReader(b)
-    try:
-        return SpanningTreeLabel(r.read(w + 1), r.read(w), r.read(w), r.read(w), r.read(w))
-    except BitUnderflow:
-        return None
+    v, mask = b.value, (1 << w) - 1
+    return SpanningTreeLabel(v >> 4 * w, v >> 3 * w & mask, v >> 2 * w & mask, v >> w & mask, v & mask)
 
 
 def bfs_tree_labels(g: Graph) -> dict[int, SpanningTreeLabel]:

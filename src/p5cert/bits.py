@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class BitUnderflow(Exception):
-    """Internal: a reader ran past the end of the stream."""
-
-
 @dataclass(frozen=True, slots=True)
 class Bits:
     value: int
@@ -83,52 +79,3 @@ class Bits:
         if padded & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits")
         return Bits(padded >> pad, bitlength)
-
-
-class BitWriter:
-    """Append-only accumulator; integers are written MSB first."""
-
-    __slots__ = ("_value", "_length")
-
-    def __init__(self):
-        self._value = 0
-        self._length = 0
-
-    def push(self, value: int, width: int) -> None:
-        if value < 0 or value.bit_length() > width:
-            raise ValueError(f"{value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._length += width
-
-    def push_bits(self, b: Bits) -> None:
-        self._value = (self._value << b.length) | b.value
-        self._length += b.length
-
-    def result(self) -> Bits:
-        return Bits(self._value, self._length)
-
-    def __len__(self) -> int:
-        return self._length
-
-
-class BitReader:
-    """Sequential reader over a ``Bits``; raises ``BitUnderflow`` on overrun."""
-
-    __slots__ = ("_bits", "pos")
-
-    def __init__(self, bits: Bits):
-        self._bits = bits
-        self.pos = 0
-
-    def read(self, width: int) -> int:
-        if self.pos + width > self._bits.length:
-            raise BitUnderflow()
-        v = self._bits.field(self.pos, width)
-        self.pos += width
-        return v
-
-    def read_bits(self, width: int) -> Bits:
-        return Bits(self.read(width), width)
-
-    def exhausted(self) -> bool:
-        return self.pos == self._bits.length

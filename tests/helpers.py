@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from p5cert.bits import BitReader, Bits, BitUnderflow, BitWriter
+from p5cert.bits import Bits
 from p5cert.codec import (
     EncodedCertificate,
     NeighborhoodRow,
@@ -582,6 +582,41 @@ def reference_universal_verifier(property_oracle):
     return verifier
 
 
+def reference_matrix(rows, n: int) -> Bits:
+    """The universal prover's matrix through ``BitWriter``: rows[1..n], each
+    n bits, row 1 first; oracle."""
+    w = BitWriter()
+    for v in range(1, n + 1):
+        w.push(rows[v], n)
+    return w.result()
+
+
+def reference_encode_tree_label(label, n: int) -> Bits:
+    """``baselines.encode_tree_label`` through ``BitWriter``; oracle."""
+    w = idwidth(n)
+    out = BitWriter()
+    out.push(label.claimed_n, w + 1)
+    out.push(label.root_id, w)
+    out.push(label.parent_id, w)
+    out.push(label.dist, w)
+    out.push(label.subtree_size, w)
+    return out.result()
+
+
+def reference_decode_tree_label(b: Bits, n: int):
+    """``baselines.decode_tree_label`` through ``BitReader``; oracle."""
+    from p5cert.baselines import SpanningTreeLabel
+
+    w = idwidth(n)
+    if b.length != 5 * w + 1:
+        return None
+    r = BitReader(b)
+    try:
+        return SpanningTreeLabel(r.read(w + 1), r.read(w), r.read(w), r.read(w), r.read(w))
+    except BitUnderflow:
+        return None
+
+
 # --- generators over edge-tuple sets, the oracle for harness.generate ---------
 
 
@@ -715,6 +750,56 @@ def reference_generate(spec) -> Graph:
 
 
 # --- the codec and partition index as they read fields through BitReader ----
+
+
+class BitUnderflow(Exception):
+    """Internal: a reader ran past the end of the stream."""
+
+
+class BitWriter:
+    """Append-only accumulator; integers are written MSB first."""
+
+    __slots__ = ("_value", "_length")
+
+    def __init__(self):
+        self._value = 0
+        self._length = 0
+
+    def push(self, value: int, width: int) -> None:
+        if value < 0 or value.bit_length() > width:
+            raise ValueError(f"{value} does not fit in {width} bits")
+        self._value = (self._value << width) | value
+        self._length += width
+
+    def push_bits(self, b: Bits) -> None:
+        self._value = (self._value << b.length) | b.value
+        self._length += b.length
+
+    def result(self) -> Bits:
+        return Bits(self._value, self._length)
+
+
+class BitReader:
+    """Sequential reader over a ``Bits``; raises ``BitUnderflow`` on overrun."""
+
+    __slots__ = ("_bits", "pos")
+
+    def __init__(self, bits: Bits):
+        self._bits = bits
+        self.pos = 0
+
+    def read(self, width: int) -> int:
+        if self.pos + width > self._bits.length:
+            raise BitUnderflow()
+        v = self._bits.field(self.pos, width)
+        self.pos += width
+        return v
+
+    def read_bits(self, width: int) -> Bits:
+        return Bits(self.read(width), width)
+
+    def exhausted(self) -> bool:
+        return self.pos == self._bits.length
 
 
 def reference_encode_tree(tree: RootedTree) -> Bits:

@@ -12,11 +12,17 @@ from p5cert.baselines import (
     spanning_tree_size_scheme,
     universal_scheme,
 )
-from p5cert.bits import BitWriter
+from p5cert.codec import idwidth
 from p5cert.framework import local_view
 from p5cert.harness import oracle_is_p5_free
 from p5cert.p5free import scheme as p5_scheme
-from helpers import random_graph, reference_universal_verifier
+from helpers import (
+    random_graph,
+    reference_decode_tree_label,
+    reference_encode_tree_label,
+    reference_matrix,
+    reference_universal_verifier,
+)
 
 
 def test_universal_accepts_c5():
@@ -50,22 +56,12 @@ def test_universal_shared_matrix_lies_all_caught(p5_graph):
             if mask >> b & 1:
                 adj[u] |= 1 << (v - 1)
                 adj[v] |= 1 << (u - 1)
-        w = BitWriter()
-        for v in range(1, 6):
-            w.push(adj[v], 5)
-        matrix = w.result()
+        matrix = reference_matrix(adj, 5)
         certs = {v: matrix for v in range(1, 6)}
         rejected = any(
             not sch.verifier(local_view(p5_graph, certs, v)).accept for v in range(1, 6)
         )
         assert rejected
-
-
-def matrix_of(rows, n):
-    w = BitWriter()
-    for v in range(1, n + 1):
-        w.push(rows[v], n)
-    return w.result()
 
 
 def toggled(rows, x, y):
@@ -79,7 +75,7 @@ def universal_lies(g, rng):
     """(kind, certificates): honest matrices, then each kind of lie the
     universal verifier checks for, in the shared matrix or at one vertex."""
     n, rows = g.n, list(g.adj)
-    honest = matrix_of(rows, n)
+    honest = reference_matrix(rows, n)
     u = rng.randint(1, n)
     x, y = rng.sample(range(1, n + 1), 2)
     loop = list(rows)
@@ -91,10 +87,10 @@ def universal_lies(g, rng):
         ("honest", shared),
         ("long", {**shared, u: honest + pc.Bits(1, 1)}),
         ("short", {**shared, u: honest.slice(0, n * n - 1)}),
-        ("loop", {v: matrix_of(loop, n) for v in g.vertices()}),
-        ("asymmetric", {v: matrix_of(one_way, n) for v in g.vertices()}),
-        ("false row", {v: matrix_of(toggled(rows, x, y), n) for v in g.vertices()}),
-        ("neighbor differs", {**shared, u: matrix_of(toggled(rows, x, y), n)}),
+        ("loop", {v: reference_matrix(loop, n) for v in g.vertices()}),
+        ("asymmetric", {v: reference_matrix(one_way, n) for v in g.vertices()}),
+        ("false row", {v: reference_matrix(toggled(rows, x, y), n) for v in g.vertices()}),
+        ("neighbor differs", {**shared, u: reference_matrix(toggled(rows, x, y), n)}),
     ]
 
 
@@ -143,6 +139,61 @@ def test_stree_label_round_trip():
             subtree_size=rng.randint(1, n),
         )
         assert decode_tree_label(encode_tree_label(lab, n), n) == lab
+
+
+
+def test_baseline_packing_matches_reference(corpus_graphs):
+    # the shift forms of the tree label codec and the universal matrix give
+    # the bytes, labels, None and ValueError text of their BitWriter /
+    # BitReader forms
+    seen = collections.Counter()
+
+    def encode_both(lab, n):
+        try:
+            got = encode_tree_label(lab, n)
+        except ValueError as exc:
+            got = str(exc)
+        try:
+            ref = reference_encode_tree_label(lab, n)
+        except ValueError as exc:
+            ref = str(exc)
+        assert got == ref, (lab, n)
+        seen["encodes" if isinstance(got, pc.Bits) else "ValueError"] += 1
+        return got
+
+    def decode_both(b, n):
+        got = decode_tree_label(b, n)
+        assert got == reference_decode_tree_label(b, n), (b, n)
+        seen["decodes" if got is not None else "None"] += 1
+
+    universal = universal_scheme(lambda g: True)
+    for spec, g in corpus_graphs:
+        assert universal.prover(g)[1] == reference_matrix(g.adj, g.n), spec
+        for lab in bfs_tree_labels(g).values():
+            decode_both(encode_both(lab, g.n), g.n)
+    assert seen["encodes"] == seen["decodes"] == 752, seen
+
+    rng = random.Random(45)
+    for _ in range(20000):
+        n = rng.randint(1, 300)
+        w = idwidth(n)
+        # mostly fields that fit, else one of -1, the widest fit, the first
+        # misfit or anything up to 2^(w+2)
+        fields = [
+            rng.randrange(1 << width)
+            if rng.random() < 0.9
+            else rng.choice((-1, (1 << width) - 1, 1 << width, rng.randint(-1, 1 << w + 2)))
+            for width in (w + 1, w, w, w, w)
+        ]
+        encode_both(SpanningTreeLabel(*fields), n)
+    for _ in range(20000):
+        n = rng.randint(1, 300)
+        w = idwidth(n)
+        length = rng.choice((5 * w + 1, 5 * w + 1, 5 * w, 5 * w + 2, rng.randint(0, 60)))
+        decode_both(pc.Bits(rng.getrandbits(length), length), n)
+    floors = {"encodes": 12500, "ValueError": 5000, "decodes": 7500, "None": 10000}
+    for outcome, floor in floors.items():
+        assert seen[outcome] >= floor, seen
 
 
 def test_stree_honest_accepts():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from p5cert.bits import BitReader, Bits, BitUnderflow, BitWriter
+from p5cert.bits import Bits
+from helpers import BitReader, BitUnderflow, BitWriter
 
 
 def test_from01_round_trip():
