@@ -27,7 +27,7 @@ print("validation:", pc.validate_tree_partition(split, tp2))
 # a broken partition is reported with the violated condition and a witness
 from p5cert.treepart import Bag, RootedTree, TreePartition
 
-bad = TreePartition(5, RootedTree((None,), ((),)), (Bag(frozenset(range(1, 6)), "clique"),))
+bad = TreePartition(5, RootedTree((None,)), (Bag(frozenset(range(1, 6)), "clique"),))
 print("single-bag lie:", pc.validate_tree_partition(p5, bad))
 
 # the 7-path has no dominating clique or induced P3 at all

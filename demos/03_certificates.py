@@ -13,7 +13,7 @@ tp = pc.build_tree_partition(p5)
 
 tree_bits = pc.encode_tree(tp.tree)
 print("tree walk bits:", tree_bits.to01())
-print("decoded tree children of root:", pc.decode_tree(tree_bits).children[0])
+print("decoded tree children of root:", pc.decode_tree(tree_bits).children()[0])
 
 part_bits = pc.encode_partitioning(tp, 5)
 print("partitioning block:", part_bits.to01(), f"({part_bits.length} bits)")

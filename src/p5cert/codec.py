@@ -3,7 +3,7 @@
 Wire layout (all integers most-significant-bit first, ids are 1..n on
 ``idwidth = ceil(log2(n+1))`` bits):
 
-  tree          DFS from the root, children in stored order, one 0 per
+  tree          DFS from the root, children in ascending order, one 0 per
                 downward edge and one 1 per upward edge; 2(t-1) bits.
   partitioning  tree bits, then per tree node in preorder: 1 kind bit
                 (0 = clique, 1 = P3), member count on idwidth bits, member
@@ -75,11 +75,11 @@ def plen_width(n: int) -> int:
 def _walk(tree: RootedTree) -> tuple[str, list[int]]:
     """The tree's 0=down / 1=up walk as a 0/1 string, and its nodes in
     preorder (the order the walk first enters them)."""
-    steps, order = [], [tree.root]
-    stack = [(tree.root, 0)]
+    children = tree.children()
+    steps, order, stack = [], [0], [(0, 0)]
     while stack:
         node, next_child = stack.pop()
-        kids = tree.children[node]
+        kids = children[node]
         if next_child < len(kids):
             stack.append((node, next_child + 1))
             steps.append("0")
@@ -99,14 +99,11 @@ def encode_tree(tree: RootedTree) -> Bits:
 def _unwalk(walk: str) -> RootedTree:
     """Inverse of ``_walk``; nodes come out numbered in preorder."""
     parents: list[int | None] = [None]
-    children: list[list[int]] = [[]]
     cur = 0
     for step in walk:
         if step == "0":
             node = len(parents)
             parents.append(cur)
-            children.append([])
-            children[cur].append(node)
             cur = node
         else:
             up = parents[cur]
@@ -115,7 +112,7 @@ def _unwalk(walk: str) -> RootedTree:
             cur = up
     if cur != 0:
         raise MalformedTreeEncoding("walk does not return to the root")
-    return RootedTree(tuple(parents), tuple(tuple(k) for k in children))
+    return RootedTree(tuple(parents))
 
 
 def decode_tree(b: Bits) -> RootedTree:

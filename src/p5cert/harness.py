@@ -294,11 +294,7 @@ def _random_false_partition(n: int, rng: random.Random) -> TreePartition:
             bags.append(Bag(frozenset(chunk), CLIQUE))
     t = len(bags)
     parents: list[Optional[int]] = [None] + [rng.randint(0, i - 1) for i in range(1, t)]
-    children: list[list[int]] = [[] for _ in range(t)]
-    for node in range(1, t):
-        children[parents[node]].append(node)
-    tree = RootedTree(tuple(parents), tuple(tuple(k) for k in children))
-    return TreePartition(n, tree, tuple(bags))
+    return TreePartition(n, RootedTree(tuple(parents)), tuple(bags))
 
 
 def has_rejection(g: Graph, scheme: Scheme, certs: CertificateAssignment) -> bool:

@@ -129,14 +129,10 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         tp = decode_partitioning(part_bits, n)
     except MalformedPartitioning:
         return None
-    # the decoder numbers nodes in preorder: node 0 is the root, and every
-    # parent comes before its children
     parent = tp.tree.parent
     t = len(parent)
     members_mask = tuple(bag.mask for bag in tp.bags)
-    subtree = list(members_mask)
-    for node in range(t - 1, 0, -1):
-        subtree[parent[node]] |= subtree[node]
+    subtree = tp.subtree_masks()
 
     full = (1 << n) - 1
     above = [0] * t  # vertex mask of the strict ancestors' bags
@@ -167,7 +163,7 @@ def _partition_index(part_bits: Bits, n: int) -> Optional[PartitionIndex]:
         tp=tp,
         node_of=tuple(node_of),
         members_mask=members_mask,
-        subtree_mask=tuple(subtree),
+        subtree_mask=subtree,
         intra_edge=tuple(intra_edge),
         intra_nonedge=tuple(intra_nonedge),
         cross_nonedge=tuple(cross_nonedge),

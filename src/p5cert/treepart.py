@@ -60,44 +60,37 @@ class Bag:
 
 @dataclass(frozen=True, slots=True)
 class RootedTree:
-    """Rooted tree on nodes 0..t-1; children keep their stored order."""
+    """Rooted tree on nodes 0..t-1: node 0 is the root and every parent comes
+    before its children (``parent[k] < k``), so a reverse pass over ``parent``
+    meets every node after all of its descendants."""
 
     parent: tuple[Optional[int], ...]
-    children: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        t = len(self.parent)
-        if len(self.children) != t or t == 0:
-            raise ValueError("parent/children length mismatch")
-        roots = [i for i, p in enumerate(self.parent) if p is None]
-        if len(roots) != 1:
-            raise ValueError("tree must have exactly one root")
-        listed = set()  # every child entry k, each in children[parent[k]]
-        for i, kids in enumerate(self.children):
-            for k in kids:
-                if not (0 <= k < t) or self.parent[k] != i:
-                    raise ValueError("children inconsistent with parents")
-            listed.update(kids)
-        for i, p in enumerate(self.parent):
-            if p is not None and i not in listed:
-                raise ValueError("parent without matching child entry")
-        if len(list(self.preorder())) != t:
-            raise ValueError("not all nodes reachable from the root")
+        if not self.parent or self.parent[0] is not None:
+            raise ValueError("node 0 must be the root")
+        for k, p in enumerate(self.parent[1:], 1):
+            if not isinstance(p, int) or not 0 <= p < k:
+                raise ValueError(f"parent of node {k} must come before it")
 
     @property
     def node_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> int:
-        return self.parent.index(None)
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children, ascending."""
+        kids: list[list[int]] = [[] for _ in self.parent]
+        for k, p in enumerate(self.parent[1:], 1):
+            kids[p].append(k)
+        return tuple(map(tuple, kids))
 
     def preorder(self):
-        stack = [self.root]
+        children = self.children()
+        stack = [0]
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(self.children[node]))
+            stack.extend(reversed(children[node]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,21 +113,12 @@ class TreePartition:
         if seen != (1 << self.n) - 1:
             raise ValueError("bags do not cover 1..n")
 
-    def node_of(self) -> tuple[int, ...]:
-        """Tree node of each vertex (index 0 unused)."""
-        node = [0] * (self.n + 1)
-        for i, bag in enumerate(self.bags):
-            for v in bag.members:
-                node[v] = i
-        return tuple(node)
-
     def subtree_masks(self) -> tuple[int, ...]:
         """Vertex mask of each node's subtree (node and all descendants)."""
-        order = list(self.tree.preorder())
+        parent = self.tree.parent
         masks = [bag.mask for bag in self.bags]
-        for node in reversed(order):
-            for kid in self.tree.children[node]:
-                masks[node] |= masks[kid]
+        for node in range(len(masks) - 1, 0, -1):
+            masks[parent[node]] |= masks[node]
         return tuple(masks)
 
 
@@ -357,7 +341,8 @@ def find_dominating_structure(g: Graph) -> Optional[Bag]:
 
 
 def build_tree_partition(g: Graph) -> TreePartition:
-    """Peel dominating structures recursively; nodes are numbered in preorder.
+    """Peel dominating structures recursively; nodes are numbered in preorder,
+    so node 0 is the root and every parent comes before its children.
 
     Children follow the component order (ascending minimum member id), which
     makes the result canonical: the same graph always yields the same
@@ -366,7 +351,6 @@ def build_tree_partition(g: Graph) -> TreePartition:
     require_connected(g)
     bags: list[Bag] = []
     parents: list[Optional[int]] = []
-    children: list[list[int]] = []
     stack: list[tuple[Optional[int], int]] = [(None, g.full_mask)]
     while stack:
         parent, comp = stack.pop()
@@ -376,14 +360,10 @@ def build_tree_partition(g: Graph) -> TreePartition:
         node = len(bags)
         bags.append(bag)
         parents.append(parent)
-        children.append([])
-        if parent is not None:
-            children[parent].append(node)
         rest = comp & ~bag.mask
         if rest:
             stack.extend((node, sub) for sub in reversed(component_masks(g, rest)))
-    tree = RootedTree(tuple(parents), tuple(tuple(k) for k in children))
-    return TreePartition(g.n, tree, tuple(bags))
+    return TreePartition(g.n, RootedTree(tuple(parents)), tuple(bags))
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,6 +393,7 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
     # TreePartition construction already guarantees disjoint cover of 1..n.
 
     subtree = tp.subtree_masks()
+    children = tp.tree.children()
     order = list(tp.tree.preorder())
 
     for node in order:
@@ -436,7 +417,7 @@ def validate_tree_partition(g: Graph, tp: TreePartition) -> Optional[Violation]:
     for node in order:
         rest = subtree[node] & ~tp.bags[node].mask
         comps = sorted(component_masks(g, rest))
-        kids = sorted(subtree[k] for k in tp.tree.children[node])
+        kids = sorted(subtree[k] for k in children[node])
         if comps != kids:
             return Violation(
                 "3",

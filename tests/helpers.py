@@ -323,18 +323,44 @@ def _nested_forests(k: int):
 def nested_to_tree(nested) -> RootedTree:
     """Convert nested child lists to a preorder-numbered RootedTree."""
     parents = [None]
-    children = {0: []}
 
     def walk(kids, my_id):
         for sub in kids:
             kid_id = len(parents)
             parents.append(my_id)
-            children[my_id].append(kid_id)
-            children[kid_id] = []
             walk(sub, kid_id)
 
     walk(nested, 0)
-    return RootedTree(tuple(parents), tuple(tuple(children[i]) for i in range(len(parents))))
+    return RootedTree(tuple(parents))
+
+
+def renumbered(tp: TreePartition, children) -> TreePartition:
+    """``tp``'s bags on the tree with per-node child lists ``children``
+    (root 0), renumbered in preorder.  Each node keeps the order of its
+    listed children, so the result encodes as the listed tree walks."""
+    order, parent, new = [], [], {}
+    stack = [(0, None)]
+    while stack:
+        node, p = stack.pop()
+        new[node] = len(order)
+        order.append(node)
+        parent.append(p)
+        stack.extend((k, new[node]) for k in reversed(children[node]))
+    return TreePartition(tp.n, RootedTree(tuple(parent)), tuple(tp.bags[i] for i in order))
+
+
+def node_of(tp: TreePartition) -> tuple[int, ...]:
+    """Tree node of each vertex (index 0 unused)."""
+    node = [0] * (tp.n + 1)
+    for i, bag in enumerate(tp.bags):
+        for v in bag.members:
+            node[v] = i
+    return tuple(node)
+
+
+# nine-node tree: root with three children, the first having one child and
+# the third having two children whose first has two children
+REFERENCE_TREE = RootedTree((None, 0, 1, 0, 0, 4, 5, 5, 4))
 
 
 def random_nested(size: int, rng: random.Random):
@@ -378,6 +404,21 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def pendant_clique(s: int) -> Graph:
+    """A clique on 1..s with s - 1 pendant leaves on each clique vertex, so
+    n = s^2.  It is a split graph, hence P5-free, and its one big bag makes
+    every pieces bundle about sqrt(n) rows: the n^1.5 term of the size bound."""
+    from p5cert.graphs import build_graph
+
+    edges = [(u, v) for u in range(1, s + 1) for v in range(u + 1, s + 1)]
+    leaf = s
+    for u in range(1, s + 1):
+        for _ in range(s - 1):
+            leaf += 1
+            edges.append((u, leaf))
+    return build_graph(s * s, edges)
 
 
 def reference_find_p5_known(edge, nonedge, n):
@@ -462,8 +503,9 @@ def reference_cross_nonedge(tp: TreePartition):
         else:
             anc_nodes[node] = anc_nodes[p] | (1 << node)
     desc_nodes = [1 << i for i in range(t)]
+    children = tree.children()
     for node in reversed(order):
-        for k in tree.children[node]:
+        for k in children[node]:
             desc_nodes[node] |= desc_nodes[k]
 
     cross_nonedge = [0] * (n + 1)
@@ -805,10 +847,11 @@ class BitReader:
 def reference_encode_tree(tree: RootedTree) -> Bits:
     """Depth-first 0=down / 1=up encoding; 2*(node count - 1) bits."""
     w = BitWriter()
-    stack = [(tree.root, 0)]
+    children = tree.children()
+    stack = [(0, 0)]
     while stack:
         node, next_child = stack.pop()
-        kids = tree.children[node]
+        kids = children[node]
         if next_child < len(kids):
             stack.append((node, next_child + 1))
             w.push(0, 1)
@@ -821,14 +864,11 @@ def reference_encode_tree(tree: RootedTree) -> Bits:
 def reference_decode_tree(b: Bits) -> RootedTree:
     """Inverse of ``encode_tree``; nodes come out numbered in preorder."""
     parents: list[int | None] = [None]
-    children: list[list[int]] = [[]]
     cur = 0
     for i in range(b.length):
         if b.bit(i) == 0:
             node = len(parents)
             parents.append(cur)
-            children.append([])
-            children[cur].append(node)
             cur = node
         else:
             up = parents[cur]
@@ -837,7 +877,7 @@ def reference_decode_tree(b: Bits) -> RootedTree:
             cur = up
     if cur != 0:
         raise MalformedTreeEncoding("walk does not return to the root")
-    return RootedTree(tuple(parents), tuple(tuple(k) for k in children))
+    return RootedTree(tuple(parents))
 
 
 def reference_encode_partitioning(tp: TreePartition, n: int) -> Bits:
@@ -998,7 +1038,7 @@ def reference_partition_index(part_bits: Bits, n: int):
 
     return PartitionIndex(
         tp=tp,
-        node_of=tp.node_of(),
+        node_of=node_of(tp),
         members_mask=members_mask,
         subtree_mask=subtree,
         intra_edge=tuple(intra_edge),

@@ -17,15 +17,10 @@ from p5cert.errors import P5CertError
 from p5cert.framework import local_view
 from p5cert.harness import STRATEGIES, has_rejection, oracle_is_p5_free
 from p5cert.p5free import scheme
-from p5cert.treepart import RootedTree
-from helpers import naive_find_induced_path, nested_to_tree, nested_trees, random_graph, random_tree_partition
+from helpers import REFERENCE_TREE, naive_find_induced_path, nested_to_tree, nested_trees, random_graph, random_tree_partition
 
 SCHEME = scheme()
 
-REFERENCE_TREE = RootedTree(
-    (None, 0, 1, 0, 0, 4, 5, 5, 4),
-    ((1, 3, 4), (2,), (), (), (5, 8), (6, 7), (), (), ()),
-)
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
 
 

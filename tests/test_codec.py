@@ -19,14 +19,8 @@ from p5cert.errors import (
     MalformedTreeEncoding,
 )
 from p5cert.treepart import RootedTree
-from helpers import nested_to_tree, nested_trees, random_nested, random_tree_partition
+from helpers import REFERENCE_TREE, nested_to_tree, nested_trees, random_nested, random_tree_partition
 
-# nine-node reference tree: root with three children, the first having one
-# child and the third having two children whose first has two children
-REFERENCE_TREE = RootedTree(
-    (None, 0, 1, 0, 0, 4, 5, 5, 4),
-    ((1, 3, 4), (2,), (), (), (5, 8), (6, 7), (), (), ()),
-)
 REFERENCE_ENCODING = "0011010001011011"
 
 P5_PARTITION_BITS = "0101101101001110000010010001101"
@@ -44,14 +38,14 @@ def test_reference_tree_encoding():
 def test_reference_tree_decoding():
     tree = pc.decode_tree(Bits.from01(REFERENCE_ENCODING))
     assert tree == REFERENCE_TREE
-    assert len(tree.children[0]) == 3
+    assert len(tree.children()[0]) == 3
 
 
 def test_tree_encoding_trivial_cases():
-    single = RootedTree((None,), ((),))
+    single = RootedTree((None,))
     assert pc.encode_tree(single).to01() == ""
     assert pc.decode_tree(Bits.empty()) == single
-    chain = RootedTree((None, 0, 1), ((1,), (2,), ()))
+    chain = RootedTree((None, 0, 1))
     assert pc.encode_tree(chain).to01() == "0011"
 
 

