@@ -33,28 +33,26 @@ def universal_scheme(property_oracle: Callable[[Graph], bool]) -> Scheme:
         return {v: matrix for v in g.vertices()}
 
     @lru_cache(maxsize=1024)
-    def checked_rows(matrix: Bits, n: int) -> tuple[Verdict | None, tuple[int, ...]]:
-        """The matrix's rows (index 0 unused) and its first loop or asymmetric
-        pair as a rejecting verdict, or None; read once per matrix."""
+    def read(matrix: Bits, n: int) -> tuple[Verdict | None, tuple[int, ...], bool]:
+        """The matrix's first loop or asymmetric pair as a rejecting verdict,
+        or None; its rows (index 0 unused); and whether the property holds of
+        the graph they describe, False on a malformed matrix.  Read once per
+        matrix."""
         rows = (0,) + tuple(matrix.field(i * n, n) for i in range(n))
         for v in range(1, n + 1):
             if rows[v] >> (v - 1) & 1:
-                return Verdict(False, "malformed", f"matrix has a loop at {v}"), rows
+                return Verdict(False, "malformed", f"matrix has a loop at {v}"), rows, False
             for u in iter_bits(rows[v]):
                 if not rows[u] >> (v - 1) & 1:
-                    return Verdict(False, "malformed", f"matrix asymmetric at {u},{v}"), rows
-        return None, rows
-
-    @lru_cache(maxsize=1024)
-    def oracle_on_matrix(matrix: Bits, n: int) -> bool:
-        return property_oracle(Graph(n, checked_rows(matrix, n)[1]))
+                    return Verdict(False, "malformed", f"matrix asymmetric at {u},{v}"), rows, False
+        return None, rows, property_oracle(Graph(n, rows))
 
     def verifier(view: LocalView) -> Verdict:
         n = view.n
         matrix = view.self_cert
         if matrix.length != n * n:
             return Verdict(False, "malformed", f"matrix certificate must be {n * n} bits")
-        malformed, rows = checked_rows(matrix, n)
+        malformed, rows, holds = read(matrix, n)
         if malformed is not None:
             return malformed
         if rows[view.self_id] != view.neighbor_ids_mask():
@@ -62,7 +60,7 @@ def universal_scheme(property_oracle: Callable[[Graph], bool]) -> Scheme:
         for w, cert in view.neighbors:
             if cert != matrix:
                 return Verdict(False, "ii", f"matrix differs from neighbor {w}")
-        if not oracle_on_matrix(matrix, n):
+        if not holds:
             return Verdict(False, "v", "certified property fails on the claimed graph")
         return ACCEPT
 

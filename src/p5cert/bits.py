@@ -21,10 +21,6 @@ class Bits:
             raise ValueError("value does not fit in length")
 
     @staticmethod
-    def empty() -> "Bits":
-        return Bits(0, 0)
-
-    @staticmethod
     def from01(s: str) -> "Bits":
         if s and set(s) - {"0", "1"}:
             raise ValueError("not a 0/1 string")
@@ -33,28 +29,14 @@ class Bits:
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
-    def __len__(self) -> int:
-        return self.length
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.value >> (self.length - 1 - i)) & 1
-
     def field(self, start: int, width: int) -> int:
         """Unsigned integer value of bits [start, start+width)."""
         if start < 0 or width < 0 or start + width > self.length:
             raise IndexError((start, width))
         return (self.value >> (self.length - start - width)) & ((1 << width) - 1)
 
-    def slice(self, start: int, width: int) -> "Bits":
-        return Bits(self.field(start, width), width)
-
-    def concat(self, other: "Bits") -> "Bits":
-        return Bits((self.value << other.length) | other.value, self.length + other.length)
-
     def __add__(self, other: "Bits") -> "Bits":
-        return self.concat(other)
+        return Bits((self.value << other.length) | other.value, self.length + other.length)
 
     def flip(self, i: int) -> "Bits":
         if not 0 <= i < self.length:

@@ -25,7 +25,7 @@ from .errors import (
     ProverFailed,
     TooLarge,
 )
-from .framework import Scheme, format_run_report, run
+from .framework import Scheme, format_run_report, max_cert_bits, run
 from .graphs import Graph, parse_graph, write_graph
 from .harness import AdversaryStrategy, GeneratorSpec
 from .codec import parse_certificates, write_certificates
@@ -125,7 +125,7 @@ def _cmd_prove(args) -> int:
     g = _load_graph(args.graph)
     certs = get_scheme(args.scheme).prover(g)
     Path(args.out).write_text(write_certificates(certs))
-    print(f"wrote {args.out} ({len(certs)} certificates, max {max(b.length for b in certs.values())} bits)")
+    print(f"wrote {args.out} ({len(certs)} certificates, max {max_cert_bits(certs)} bits)")
     return EXIT_OK
 
 

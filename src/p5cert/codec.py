@@ -156,7 +156,7 @@ def decode_partitioning(b: Bits, n: int) -> TreePartition:
     if numerator <= 0 or numerator % (3 + w):
         raise MalformedPartitioning(f"no node count matches a {length}-bit block for n={n}")
     t = numerator // (3 + w)
-    if t < 1 or t > n:
+    if t > n:
         raise MalformedPartitioning(f"implied node count {t} out of range")
     s = b.to01()
     pos = 2 * (t - 1)  # the length formula leaves room for the tree walk
@@ -225,7 +225,6 @@ class NeighborhoodRow:
 class EncodedCertificate:
     """Decoded three-part certificate of one vertex."""
 
-    n: int
     neighbors_part: int
     partitioning_part: Bits
     pieces_part: tuple[NeighborhoodRow, ...]
@@ -236,8 +235,6 @@ def _does_not_fit(value: int, width: int) -> MalformedCertificate:
 
 
 def encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
-    if cert.n != n:
-        raise MalformedCertificate("certificate built for a different n")
     w = idwidth(n)
     pw = 2 * w + 3  # plen_width(n)
     row, block, pieces = cert.neighbors_part, cert.partitioning_part, cert.pieces_part
@@ -301,7 +298,7 @@ def decode_certificate(b: Bits, n: int) -> EncodedCertificate:
         raise MalformedCertificate("short read")
     if cnt * size < rest:
         raise MalformedCertificate("trailing bits")
-    return EncodedCertificate(n, head >> pw, partitioning, tuple(pieces))
+    return EncodedCertificate(head >> pw, partitioning, tuple(pieces))
 
 
 # --- certificate file format --------------------------------------------

@@ -56,9 +56,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.adj[v]))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -74,7 +71,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in self.vertices()) // 2
+        return sum(row.bit_count() for row in self.adj[1:]) // 2
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

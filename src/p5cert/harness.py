@@ -313,16 +313,6 @@ def rejecting_mask(g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]],
     return mask
 
 
-def _flip_bit(g: Graph, certs: CertificateAssignment, dec: dict, rej: int, v: int, pos: int) -> int:
-    """Flip bit ``pos`` of v's certificate in ``certs`` and its decode table
-    ``dec``; return the rejection mask ``rej`` updated for the flip.  Only
-    the views of v and its neighbors change, so only they are verified."""
-    certs[v] = certs[v].flip(pos)
-    dec[v] = _decode(certs[v], g.n)
-    closed = g.adj[v] | 1 << (v - 1)
-    return rej & ~closed | rejecting_mask(g, dec, closed)
-
-
 def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[CertificateAssignment]:
     """Stream of ``strategy.trials`` assignments; deterministic per seed.
 
@@ -409,7 +399,11 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                     break
                 v = rng.randint(1, n)
                 old = cur[v], dec[v]
-                cand_rej = _flip_bit(g, cur, dec, cur_rej, v, rng.randrange(cur[v].length))
+                cur[v] = cur[v].flip(rng.randrange(cur[v].length))
+                dec[v] = _decode(cur[v], n)
+                # only the views of v and its neighbors change
+                closed = g.adj[v] | 1 << (v - 1)
+                cand_rej = cur_rej & ~closed | rejecting_mask(g, dec, closed)
                 # the first flip is always kept
                 if not step or cand_rej.bit_count() <= cur_rej.bit_count():
                     cur_rej = cand_rej

@@ -73,12 +73,12 @@ def prove(g: Graph) -> CertificateAssignment:
         members = bag.sorted_members()
         if bag_is_small(bag, n):
             rows = tuple(NeighborhoodRow(m, adj[m]) for m in members)
-            body = encode_certificate(EncodedCertificate(n, 0, part_bits, rows), n)
+            body = encode_certificate(EncodedCertificate(0, part_bits, rows), n)
             for m in members:
                 certs[m] = write_row(body, adj[m], n)
         else:
             for m, rows in zip(members, _round_robin(g, members, subtree[node])):
-                body = encode_certificate(EncodedCertificate(n, 0, part_bits, rows), n)
+                body = encode_certificate(EncodedCertificate(0, part_bits, rows), n)
                 certs[m] = write_row(body, adj[m], n)
     return certs
 

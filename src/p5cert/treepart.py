@@ -73,10 +73,6 @@ class RootedTree:
             if not isinstance(p, int) or not 0 <= p < k:
                 raise ValueError(f"parent of node {k} must come before it")
 
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
-
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Each node's children, ascending."""
         kids: list[list[int]] = [[] for _ in self.parent]
@@ -102,7 +98,7 @@ class TreePartition:
     bags: tuple[Bag, ...]
 
     def __post_init__(self):
-        if len(self.bags) != self.tree.node_count:
+        if len(self.bags) != len(self.tree.parent):
             raise ValueError("one bag per tree node required")
         seen = 0
         for bag in self.bags:

@@ -491,7 +491,7 @@ def reference_cross_nonedge(tp: TreePartition):
     """
 
     tree = tp.tree
-    t = tree.node_count
+    t = len(tree.parent)
     n = tp.n
     members_mask = [bag.mask for bag in tp.bags]
     order = list(tree.preorder())
@@ -866,7 +866,7 @@ def reference_decode_tree(b: Bits) -> RootedTree:
     parents: list[int | None] = [None]
     cur = 0
     for i in range(b.length):
-        if b.bit(i) == 0:
+        if b.field(i, 1) == 0:
             node = len(parents)
             parents.append(cur)
             cur = node
@@ -915,7 +915,7 @@ def reference_decode_partitioning(b: Bits, n: int) -> TreePartition:
         tree = reference_decode_tree(reader.read_bits(2 * (t - 1)))
     except (BitUnderflow, MalformedTreeEncoding) as exc:
         raise MalformedPartitioning(f"bad tree block: {exc}") from exc
-    if tree.node_count != t:
+    if len(tree.parent) != t:
         raise MalformedPartitioning("tree block does not match implied node count")
     bags = []
     seen = 0
@@ -955,8 +955,6 @@ def reference_decode_partitioning(b: Bits, n: int) -> TreePartition:
 
 
 def reference_encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
-    if cert.n != n:
-        raise MalformedCertificate("certificate built for a different n")
     w = idwidth(n)
     out = BitWriter()
     try:
@@ -993,7 +991,7 @@ def reference_decode_certificate(b: Bits, n: int) -> EncodedCertificate:
         raise MalformedCertificate("short read") from exc
     if not reader.exhausted():
         raise MalformedCertificate("trailing bits")
-    return EncodedCertificate(n, neighbors, partitioning, tuple(pieces))
+    return EncodedCertificate(neighbors, partitioning, tuple(pieces))
 
 
 def reference_partition_index(part_bits: Bits, n: int):
@@ -1006,7 +1004,7 @@ def reference_partition_index(part_bits: Bits, n: int):
     except MalformedPartitioning:
         return None
     tree = tp.tree
-    t = tree.node_count
+    t = len(tree.parent)
     members_mask = tuple(bag.mask for bag in tp.bags)
     subtree = tp.subtree_masks()
 
@@ -1066,7 +1064,7 @@ def reference_prove(g: Graph):
             entries.update(zip(members, _round_robin(g, members, subtree[node])))
     certs = {}
     for v in g.vertices():
-        cert = EncodedCertificate(g.n, g.adj[v], part_bits, entries[v])
+        cert = EncodedCertificate(g.adj[v], part_bits, entries[v])
         certs[v] = encode_certificate(cert, g.n)
     return certs
 
@@ -1089,3 +1087,127 @@ def reference_enumerate_connected_graphs(n: int):
         g = Graph(n, tuple(adj))
         if is_connected(g):
             yield g
+
+
+# --- the verifier written from the scheme's six steps -----------------------
+
+
+def spec_verify(g: Graph, certs, u: int):
+    """(step, path) at vertex u, written from the scheme's steps with sets
+    and a dict of pair statuses: step is the first failing step (None on
+    accept), path the induced 5-path step (v) found (None otherwise).  No
+    partition masks, no twin deletion, no caches; oracle for ``verdict_at``
+    and ``verify_all``.  Below n = 9 the path is the least of every 5-subset
+    whose pairs are all known and form a path; above, the extension search
+    ``reference_find_p5_known``."""
+    n = g.n
+    nbrs = set(g.neighbors(u))
+    try:
+        dec = {v: reference_decode_certificate(certs[v], n) for v in [u, *sorted(nbrs)]}
+    except MalformedCertificate:
+        return "malformed", None
+    own = dec[u]
+
+    # (i) the claimed row is the actual one
+    if set(iter_bits(own.neighbors_part)) != nbrs:
+        return "i", None
+
+    # (ii) every neighbour holds the same block, and it decodes
+    if any(dec[w].partitioning_part != own.partitioning_part for w in nbrs):
+        return "ii", None
+    try:
+        tp = reference_decode_partitioning(own.partitioning_part, n)
+    except MalformedPartitioning:
+        return "ii", None
+    node = {v: i for i, bag in enumerate(tp.bags) for v in bag.members}
+
+    def up(i):  # node i and its ancestors, root last
+        chain = [i]
+        while tp.tree.parent[chain[-1]] is not None:
+            chain.append(tp.tree.parent[chain[-1]])
+        return chain
+
+    # (iii) u's bag claims, its ancestors' domination, no neighbour in another branch
+    s = node[u]
+    bag = tp.bags[s]
+    if bag.kind == CLIQUE:
+        holds = bag.members - {u} <= nbrs
+    else:
+        a, b, c = bag.p3_order
+        holds = {a, c} <= nbrs if u == b else b in nbrs and (c if u == a else a) not in nbrs
+    ancestors = up(s)[1:]
+    subtree = {v for v in g.vertices() if s in up(node[v])}
+    above = {v for x in ancestors for v in tp.bags[x].members}
+    if not holds or any(not tp.bags[x].members & nbrs for x in ancestors) or not nbrs <= above | subtree:
+        return "iii", None
+
+    # (iv) pieces: a small bag's members share the bag's rows, in member order;
+    # a big bag's members jointly show a row of every subtree vertex
+    if bag.kind == P3 or (len(bag.members) - 1) ** 2 < n:  # at most ceil(sqrt n) members
+        pieces = own.pieces_part
+        if [e.owner for e in pieces] != sorted(bag.members):
+            return "iv", None
+        if set(iter_bits(next(e.row for e in pieces if e.owner == u))) != nbrs:
+            return "iv", None
+        if any(dec[w].pieces_part != pieces for w in nbrs & bag.members):
+            return "iv", None
+    else:
+        entries = [e for v in [u, *(nbrs & bag.members)] for e in dec[v].pieces_part]
+        if not subtree <= {e.owner for e in entries}:
+            return "iv", None
+        if any(e.owner in nbrs & subtree and e.row != dec[e.owner].neighbors_part for e in entries):
+            return "iv", None
+
+    # (v) every pair status u can deduce; a pair with both rejects
+    status = {}
+
+    def claim(x, y, edge):
+        if status.setdefault((min(x, y), max(x, y)), edge) != edge:
+            raise ValueError
+
+    rows = [(u, g.adj[u])] + [(w, dec[w].neighbors_part) for w in nbrs]
+    rows += [(e.owner, e.row) for v in dec for e in dec[v].pieces_part]
+    try:
+        for x, row in rows:
+            for y in g.vertices():
+                if y != x:
+                    claim(x, y, bool(row >> (y - 1) & 1))
+        for bag in tp.bags:
+            if bag.kind == CLIQUE:
+                for x, y in itertools.combinations(bag.members, 2):
+                    claim(x, y, True)
+            else:
+                a, b, c = bag.p3_order
+                claim(a, b, True)
+                claim(b, c, True)
+                claim(a, c, False)
+        for x, y in itertools.combinations(g.vertices(), 2):
+            if node[x] not in up(node[y]) and node[y] not in up(node[x]):
+                claim(x, y, False)
+    except ValueError:
+        return "v", None
+
+    if n <= 8:
+        paths = []
+        for five in itertools.combinations(g.vertices(), 5):
+            pairs = list(itertools.combinations(five, 2))
+            if not all(p in status for p in pairs):
+                continue
+            links = {x: [y for p in pairs if status[p] and x in p for y in p if y != x] for x in five}
+            ends = [x for x in five if len(links[x]) == 1]
+            if sum(map(len, links.values())) != 8 or len(ends) != 2:
+                continue
+            path = [ends[0]]
+            while len(path) < 5 and (step := [y for y in links[path[-1]] if y not in path]):
+                path.append(step[0])
+            if len(path) == 5:
+                paths.append(tuple(path))
+        path = min(paths, default=None)
+    else:
+        edge, nonedge = [0] * (n + 1), [0] * (n + 1)
+        for (x, y), e in status.items():
+            into = edge if e else nonedge
+            into[x] |= 1 << (y - 1)
+            into[y] |= 1 << (x - 1)
+        path = reference_find_p5_known(edge, nonedge, n)
+    return ("v", path) if path is not None else (None, None)

@@ -57,7 +57,7 @@ def test_criterion_1_codec_golden_and_round_trip():
         for _ in range(rng.randint(0, min(n, 6))):
             owner = rng.randint(1, n)
             pieces.append(NeighborhoodRow(owner, rng.getrandbits(n) & ~(1 << (owner - 1))))
-        cert = EncodedCertificate(n, rng.getrandbits(n), part, tuple(pieces))
+        cert = EncodedCertificate(rng.getrandbits(n), part, tuple(pieces))
         assert pc.decode_certificate(pc.encode_certificate(cert, n), n) == cert
 
     elapsed = time.perf_counter() - start

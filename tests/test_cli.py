@@ -67,7 +67,7 @@ def test_verify_truncated_certificates(tmp_path, capsys, p5_graph):
     graph_file = tmp_path / "p5.graph"
     graph_file.write_text(pc.write_graph(p5_graph))
     certs = pc.prove(p5_graph)
-    certs[2] = certs[2].slice(0, certs[2].length - 1)
+    certs[2] = pc.Bits(certs[2].value >> 1, certs[2].length - 1)
     cert_file = tmp_path / "bad.certs"
     cert_file.write_text(pc.write_certificates(certs))
     # still parses as a file; the verifier rejects with reason malformed

@@ -44,7 +44,7 @@ def test_reference_tree_decoding():
 def test_tree_encoding_trivial_cases():
     single = RootedTree((None,))
     assert pc.encode_tree(single).to01() == ""
-    assert pc.decode_tree(Bits.empty()) == single
+    assert pc.decode_tree(Bits(0, 0)) == single
     chain = RootedTree((None, 0, 1))
     assert pc.encode_tree(chain).to01() == "0011"
 
@@ -94,7 +94,7 @@ def test_partitioning_round_trip_random():
     "mutate",
     [
         lambda b: b + Bits.from01("0"),  # leftover bits
-        lambda b: b.slice(0, b.length - 1),  # short read
+        lambda b: Bits(b.value >> 1, b.length - 1),  # short read
     ],
 )
 def test_partitioning_rejects_bad_lengths(p5_graph, mutate):
@@ -134,7 +134,7 @@ def test_certificate_golden_n1():
 def test_certificate_truncation_rejected(p5_graph):
     cert = pc.prove(p5_graph)[1]
     with pytest.raises(MalformedCertificate):
-        pc.decode_certificate(cert.slice(0, cert.length - 1), 5)
+        pc.decode_certificate(Bits(cert.value >> 1, cert.length - 1), 5)
     with pytest.raises(MalformedCertificate):
         pc.decode_certificate(cert + Bits.from01("1"), 5)
 
@@ -161,7 +161,7 @@ def test_certificate_random_round_trip():
             owner = rng.randint(1, n)
             row = rng.getrandbits(n) & ~(1 << (owner - 1))
             pieces.append(NeighborhoodRow(owner, row))
-        cert = EncodedCertificate(n, rng.getrandbits(n), part, tuple(pieces))
+        cert = EncodedCertificate(rng.getrandbits(n), part, tuple(pieces))
         enc = pc.encode_certificate(cert, n)
         assert pc.decode_certificate(enc, n) == cert
 
@@ -169,7 +169,7 @@ def test_certificate_random_round_trip():
 def test_certificate_rejects_out_of_range_owner():
     # n=2: craft pieces entry with owner 3 (= 0b11, above n)
     part = pc.encode_partitioning(random_tree_partition(2, random.Random(0)), 2)
-    good = EncodedCertificate(2, 0, part, (NeighborhoodRow(1, 0),))
+    good = EncodedCertificate(0, part, (NeighborhoodRow(1, 0),))
     bits = pc.encode_certificate(good, 2)
     # owner field sits after neighbors(2) + plen(7) + part + count(2)
     owner_pos = 2 + plen_width(2) + part.length + 2

@@ -10,7 +10,6 @@ from p5cert.framework import format_run_report, local_view
 from p5cert.harness import (
     FAMILIES,
     STRATEGIES,
-    _flip_bit,
     format_fuzz_report,
     format_scaling_csv,
     has_rejection,
@@ -227,7 +226,10 @@ def test_flip_changes_rejections_only_in_closed_neighborhood():
                 v = rng.randint(1, g.n)
                 if not walk:
                     certs, dec, rej = dict(base), decode_table(base, g.n), base_rej
-                new_rej = _flip_bit(g, certs, dec, rej, v, rng.randrange(certs[v].length))
+                certs[v] = certs[v].flip(rng.randrange(certs[v].length))
+                dec[v] = _decode(certs[v], g.n)
+                closed = g.adj[v] | 1 << (v - 1)
+                new_rej = rej & ~closed | rejecting_mask(g, dec, closed)
                 assert new_rej == per_view_mask(g, certs)
                 undecodable += dec[v] is None
                 neighbor_only += bool((new_rej ^ rej) & g.adj[v])

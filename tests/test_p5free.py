@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -49,6 +50,7 @@ from helpers import (
     reference_prove,
     reference_union_accepts,
     renumbered,
+    spec_verify,
 )
 
 SCHEME = scheme()
@@ -248,7 +250,7 @@ def test_verify_step_i_on_neighbor_bit_flip(p5_graph):
 def test_verify_malformed_certificate(p5_graph):
     certs = pc.prove(p5_graph)
     mutated = dict(certs)
-    mutated[2] = mutated[2].slice(0, mutated[2].length - 1)
+    mutated[2] = pc.Bits(mutated[2].value >> 1, mutated[2].length - 1)
     assert SCHEME.verifier(local_view(p5_graph, mutated, 2)).step == "malformed"
     # neighbors of 2 see the truncated certificate too
     assert SCHEME.verifier(local_view(p5_graph, mutated, 1)).step == "malformed"
@@ -260,7 +262,7 @@ def test_verify_step_ii_on_partitioning_mismatch(p5_graph):
     certs = pc.prove(p5_graph)
     dec = decode_certificate(certs[3], 5)
     other = pc.build_tree_partition(pc.build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]))
-    swapped = EncodedCertificate(5, dec.neighbors_part, pc.encode_partitioning(other, 5), dec.pieces_part)
+    swapped = EncodedCertificate(dec.neighbors_part, pc.encode_partitioning(other, 5), dec.pieces_part)
     mutated = dict(certs)
     mutated[3] = encode_certificate(swapped, 5)
     assert SCHEME.verifier(local_view(p5_graph, mutated, 2)).step == "ii"
@@ -278,7 +280,7 @@ def test_verify_step_iii_on_sibling_singletons(p5_graph):
     for v, bits in certs.items():
         dec = decode_certificate(bits, 5)
         mutated[v] = encode_certificate(
-            EncodedCertificate(5, dec.neighbors_part, false_bits, dec.pieces_part), 5
+            EncodedCertificate(dec.neighbors_part, false_bits, dec.pieces_part), 5
         )
     # vertex 5 is not adjacent to the claimed root bag {1}: domination fails;
     # vertex 2 has neighbor 3 in a sibling branch: separation fails
@@ -298,7 +300,7 @@ def test_verify_step_iv_on_lying_pieces(p5_graph):
     pieces[idx] = NeighborhoodRow(2, pieces[idx].row ^ 0b10000)
     mutated = dict(certs)
     mutated[3] = encode_certificate(
-        EncodedCertificate(5, dec.neighbors_part, dec.partitioning_part, tuple(pieces)), 5
+        EncodedCertificate(dec.neighbors_part, dec.partitioning_part, tuple(pieces)), 5
     )
     # bag member 2 is adjacent to 3 and compares pieces bit-for-bit
     assert SCHEME.verifier(local_view(p5_graph, mutated, 2)).step == "iv"
@@ -331,7 +333,7 @@ def test_knowledge_closure_contradiction(p5_graph):
     pieces[idx] = NeighborhoodRow(2, pieces[idx].row ^ 0b10000)  # claim 2~5
     mutated = dict(certs)
     mutated[3] = encode_certificate(
-        EncodedCertificate(5, dec.neighbors_part, dec.partitioning_part, tuple(pieces)), 5
+        EncodedCertificate(dec.neighbors_part, dec.partitioning_part, tuple(pieces)), 5
     )
     with pytest.raises(Contradiction) as err:
         pc.knowledge_closure(local_view(p5_graph, mutated, 3))
@@ -349,7 +351,7 @@ def test_injected_foreign_pieces_row_cannot_fool_anyone():
     forged = NeighborhoodRow(14, (g.adj[14] ^ 0b110) & ~(1 << 13))
     mutated = dict(certs)
     mutated[1] = encode_certificate(
-        EncodedCertificate(g.n, dec.neighbors_part, dec.partitioning_part, dec.pieces_part + (forged,)),
+        EncodedCertificate(dec.neighbors_part, dec.partitioning_part, dec.pieces_part + (forged,)),
         g.n,
     )
     # readers adjacent to 14 catch the forgery at step iv; readers that only
@@ -699,13 +701,13 @@ def moved_subtrees(tp, rng, k):
     tree = tp.tree
     children = tree.children()
     moves = []
-    for x in range(1, tree.node_count):
+    for x in range(1, len(tree.parent)):
         below, stack = set(), [x]
         while stack:
             node = stack.pop()
             below.add(node)
             stack.extend(children[node])
-        moves += [(x, y) for y in range(tree.node_count) if y not in below and y != tree.parent[x]]
+        moves += [(x, y) for y in range(len(tree.parent)) if y not in below and y != tree.parent[x]]
     out = []
     for x, y in rng.sample(moves, min(k, len(moves))):
         kids = [list(c) for c in children]
@@ -739,7 +741,7 @@ def test_step_iii_everywhere_iff_valid_partition(connected_graphs):
             partitions += [tp, *moved_subtrees(tp, rng, 4)]
         for tp in partitions:
             block = pc.encode_partitioning(tp, n)
-            dec_of = {v: EncodedCertificate(n, g.adj[v], block, ()) for v in g.vertices()}
+            dec_of = {v: EncodedCertificate(g.adj[v], block, ()) for v in g.vertices()}
             steps = {p5free.verdict_at(n, v, g.adj[v], dec_of).step for v in g.vertices()}
             assert not steps & {"malformed", "i", "ii"}, (g.adj, tp, steps)
             violation = pc.validate_tree_partition(g, tp)
@@ -860,7 +862,7 @@ def test_bag_test_matches_role_reference():
         for tp in [honest] + [_random_false_partition(g.n, rng) for _ in range(3 if g.n <= 5 else 40)]:
             part = pc.encode_partitioning(tp, g.n)
             pidx = _partition_index(part, g.n)
-            dec = {v: EncodedCertificate(g.n, g.adj[v], part, ()) for v in g.vertices()}
+            dec = {v: EncodedCertificate(g.adj[v], part, ()) for v in g.vertices()}
             for u in g.vertices():  # the decoder renumbers nodes in preorder
                 want = reference_bag_test(pidx.tp.bags[pidx.node_of[u]], u, g.adj[u])
                 got = _steps_iii_iv(g.n, u, g.adj[u], dec[u], dec, pidx)
@@ -917,7 +919,7 @@ def test_first_failing_step_wins(p5_graph):
     pieces[0] = NeighborhoodRow(pieces[0].owner, pieces[0].row ^ 0b10000)
     mutated = dict(certs)
     mutated[3] = encode_certificate(
-        EncodedCertificate(5, dec.neighbors_part ^ 1, dec.partitioning_part, tuple(pieces)), 5
+        EncodedCertificate(dec.neighbors_part ^ 1, dec.partitioning_part, tuple(pieces)), 5
     )
     assert SCHEME.verifier(local_view(p5_graph, mutated, 3)).step == "i"
 
@@ -1062,8 +1064,8 @@ def two_cliques_two_blocks(a, n, s1_high, rng):
     s2_rows = dict(zip(s2, p5free._round_robin(g, tuple(s2), g.full_mask)))
     certs = {}
     for v in g.vertices():
-        cert = EncodedCertificate(n, g.adj[v], bits_chain, s1_rows) if v in s1 else (
-            EncodedCertificate(n, g.adj[v], bits_star, s2_rows[v])
+        cert = EncodedCertificate(g.adj[v], bits_chain, s1_rows) if v in s1 else (
+            EncodedCertificate(g.adj[v], bits_star, s2_rows[v])
         )
         certs[v] = encode_certificate(cert, n)
     return g, certs
@@ -1207,3 +1209,113 @@ def test_verify_all_matches_verify():
     assert union_raised >= 20, union_raised
     assert min(rejected[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, rejected
     assert min(mixed[s] for s in ONE_LIES) >= 20, mixed
+
+
+# --- the whole verdict against the spec verifier ------------------------------
+
+
+def spec_trial_sample():
+    """(graph, certificates) of every adversary trial on every 60th connected
+    6-vertex graph with an induced P5 (5 strategies x 4 trials) and on
+    with-p5 n = 24 seeds 1-3 (5 strategies x 2 trials)."""
+    p5_graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)][::60]
+    with_p5 = [pc.generate(GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2, 3)]
+    for i, g in enumerate(p5_graphs + with_p5):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4 if g.n == 6 else 2, i)):
+                yield g, certs
+
+
+def witness_path(d):
+    """The 5-path a step (v) verdict names, or None."""
+    m = re.fullmatch(r"induced 5-path (\S+) fully known", d.witness or "")
+    return m and tuple(map(int, m[1].split("-")))
+
+
+def test_verdicts_match_spec(corpus_graphs):
+    # at every vertex, verdict_at and verify_all accept or stop at the step
+    # the spec verifier names, and below n = 9 name its 5-path; inputs:
+    # fuzz trials, and honest proofs with and without one local lie
+    cases = list(spec_trial_sample())
+    rng = random.Random(25)
+    for g in [g for spec, g in corpus_graphs if spec.n <= 16] + list(random_big_clique_graphs()):
+        tp, certs = pc.build_tree_partition(g), pc.prove(g)
+        cases.append((g, certs))
+        for kind in LOCAL_LIES:
+            forged = with_local_lie(g, tp, certs, kind, rng)
+            if forged is not None:
+                cases.append((g, forged))
+        for kind in ONE_LIES:
+            lie = with_one_lie(g, tp, certs, kind, rng)
+            if lie is not None:
+                cases.append((g, lie[1]))
+    outcomes = collections.Counter()
+    for g, certs in cases:
+        dec = {v: p5free._decode(b, g.n) for v, b in certs.items()}
+        batch = p5free.verify_all(g, certs)
+        for u in g.vertices():
+            step, path = spec_verify(g, certs, u)
+            for d in (p5free.verdict_at(g.n, u, g.adj[u], dec), batch[u]):
+                assert (d.accept, d.step) == (step is None, step), (g, certs, u, d)
+                if g.n <= 8:
+                    assert witness_path(d) == path, (g, certs, u, d)
+            outcomes[step or "accept"] += 1
+    floors = {"accept": 7675, "malformed": 1950, "i": 2005, "ii": 2695, "iii": 1845, "iv": 2480, "v": 3320}
+    assert all(outcomes[k] >= floor for k, floor in floors.items()), outcomes
+
+
+def verdicts_of(g, dec):
+    return {u: p5free.verdict_at(g.n, u, g.adj[u], dec) for u in g.vertices()}
+
+
+def test_extra_pieces_entry_turns_only_step_iv_rejections(corpus_graphs):
+    # F2 through the whole verdict: one more pieces entry adds rows to step
+    # (v)'s fold and leaves malformed, (i), (ii) and (iii) as they were, so
+    # a rejection at any of them or at (v) stays a rejection.  Only a step
+    # (iv) rejection may turn into an accept: the entry can complete a big
+    # bag's coverage or restore a small bag's shared pieces.
+    rng = random.Random(2502)
+    changes = collections.Counter()
+
+    def check(g, before, after, edited):
+        old, new = verdicts_of(g, before), verdicts_of(g, after)
+        for u in g.vertices():
+            if old[u].step != "iv":
+                assert old[u].accept or not new[u].accept, (g, u, old[u])
+            if old[u].step != new[u].step:
+                changes[f"{old[u].step or 'accept'} -> {new[u].step or 'accept'}"] += 1
+            changes["v held"] += old[u].step == "v" and edited in closed_neighborhood(g, u)
+
+    cases = list(spec_trial_sample())
+    cases += [(g, pc.prove(g)) for spec, g in corpus_graphs if spec.n <= 32]
+    for g, certs in cases:
+        dec = {v: p5free._decode(b, g.n) for v, b in certs.items()}
+        for _ in range(3):
+            v = rng.choice([v for v, d in dec.items() if d is not None])
+            pieces = list(dec[v].pieces_part)
+            if (len(pieces) + 1) >> pc.idwidth(g.n):  # the entry count field would overflow
+                continue
+            owner = rng.randint(1, g.n)
+            row = g.adj[owner]
+            if rng.random() < 0.5:
+                row ^= 1 << (rng.choice([y for y in g.vertices() if y != owner]) - 1)
+            pieces.insert(rng.randint(0, len(pieces)), NeighborhoodRow(owner, row))
+            check(g, dec, {**dec, v: replace(dec[v], pieces_part=tuple(pieces))}, v)
+    # a big bag's member drops a row from outside the bag, and another
+    # member takes it: the bag's coverage fails, then holds again
+    for g in random_big_clique_graphs():
+        tp, dec = pc.build_tree_partition(g), {v: decode_certificate(b, g.n) for v, b in pc.prove(g).items()}
+        for bag in tp.bags:
+            if bag_is_small(bag, g.n):
+                continue
+            a, b = rng.sample(bag.sorted_members(), 2)
+            outside = [e for e in dec[a].pieces_part if e.owner not in bag.members]
+            if not outside:
+                continue
+            e = rng.choice(outside)
+            dropped = {**dec, a: replace(dec[a], pieces_part=tuple(x for x in dec[a].pieces_part if x != e))}
+            pieces = list(dec[b].pieces_part)
+            pieces.insert(rng.randint(0, len(pieces)), e)
+            check(g, dropped, {**dropped, b: replace(dec[b], pieces_part=tuple(pieces))}, b)
+    floors = {"v held": 4150, "accept -> iv": 1195, "accept -> v": 1215, "v -> iv": 1950, "iv -> accept": 530}
+    assert all(changes[k] >= floor for k, floor in floors.items()), changes

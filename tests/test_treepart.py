@@ -400,7 +400,7 @@ def test_every_edge_ancestor_comparable_on_corpus(corpus_graphs):
         for i, bag in enumerate(tp.bags):
             for v in bag.members:
                 node_of[v] = i
-        ancestors = [set() for _ in range(tp.tree.node_count)]
+        ancestors = [set() for _ in range(len(tp.tree.parent))]
         for node in tp.tree.preorder():
             p = tp.tree.parent[node]
             if p is not None:
