@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 @dataclass(frozen=True, slots=True)
 class Bits:
@@ -56,6 +58,8 @@ class Bits:
         nbytes = (bitlength + 7) // 8
         if len(hexstr) != nbytes * 2:
             raise ValueError("hex length does not match bit length")
+        if set(hexstr) - _HEX_DIGITS:  # int(hexstr, 16) would take 0x, _ and non-ASCII digits
+            raise ValueError("not a hex string")
         padded = int(hexstr, 16) if hexstr else 0
         pad = nbytes * 8 - bitlength
         if padded & ((1 << pad) - 1):

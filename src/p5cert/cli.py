@@ -26,10 +26,10 @@ from .errors import (
     TooLarge,
 )
 from .framework import Scheme, format_run_report, max_cert_bits, run
-from .graphs import Graph, parse_graph, write_graph
+from .graphs import parse_graph, write_graph
 from .harness import AdversaryStrategy, GeneratorSpec
 from .codec import parse_certificates, write_certificates
-from .p5free import find_known_induced_p5, full_knowledge_map, scheme as p5_scheme
+from .p5free import is_p5_free, scheme as p5_scheme
 from .treepart import build_tree_partition, format_tree_partition, validate_tree_partition
 
 EXIT_OK = 0
@@ -38,15 +38,10 @@ EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
 
 
-def _is_p5_free(g: Graph) -> bool:
-    # twin deletion first: 0.004 s against graphs.find_induced_path's 25 s on cograph n = 1024 seed 1
-    return find_known_induced_p5(full_knowledge_map(g)) is None
-
-
 # every scheme name but kk:<k>, which takes its k from the name
 _SCHEMES = {
     "p5": p5_scheme,
-    "universal-p5": lambda: baselines.universal_scheme(_is_p5_free),
+    "universal-p5": lambda: baselines.universal_scheme(is_p5_free),
     "stree-n": baselines.spanning_tree_size_scheme,
 }
 
@@ -102,7 +97,7 @@ def _load_graph(path: str):
 def _cmd_gen(args) -> int:
     spec = GeneratorSpec(args.family, args.n, args.p, args.seed)
     g = harness.generate(spec)
-    tag = "yes" if _is_p5_free(g) else "no"
+    tag = "yes" if is_p5_free(g) else "no"
     header = f"c family={spec.family} n={spec.n} p={spec.p} seed={spec.seed} p5free={tag}\n"
     Path(args.out).write_text(header + write_graph(g))
     print(f"wrote {args.out} (n={g.n} m={g.edge_count()} p5free={tag})")

@@ -60,6 +60,7 @@ from .errors import (
     MalformedPartitioning,
     MalformedTreeEncoding,
 )
+from .graphs import parse_decimal
 from .treepart import CLIQUE, P3, Bag, RootedTree, TreePartition
 
 
@@ -304,7 +305,8 @@ def decode_certificate(b: Bits, n: int) -> EncodedCertificate:
 # --- certificate file format --------------------------------------------
 #
 #   <id> <bitlength> <hex>      one line per vertex, sorted by id;
-#                               hex is the bitstring zero-padded to a byte
+#                               hex is the bitstring zero-padded to a byte;
+#                               id and bitlength as in ``graphs.parse_decimal``
 
 
 def write_certificates(certs: dict[int, Bits]) -> str:
@@ -327,8 +329,8 @@ def parse_certificates(text: str) -> dict[int, Bits]:
         if len(parts) not in (2, 3):
             raise CertificateFormatError(f"line {lineno}: expected '<id> <bitlength> <hex>'")
         try:
-            v = int(parts[0])
-            bitlength = int(parts[1])
+            v = parse_decimal(parts[0])
+            bitlength = parse_decimal(parts[1])
         except ValueError as exc:
             raise CertificateFormatError(f"line {lineno}: non-integer field") from exc
         if v <= last:

@@ -10,6 +10,7 @@ DFS and the naive search.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -291,6 +292,17 @@ def require_connected(g: Graph) -> None:
 #   c <free-form comment>
 #   p <n> <m>
 #   e <u> <v>        (m lines, 1 <= u < v <= n, no duplicates)
+#
+# Every number is ASCII -?[0-9]+.  ``int`` alone would also take a sign,
+# ``_`` separators and non-ASCII digits.
+
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def parse_decimal(field: str) -> int:
+    if _DECIMAL.fullmatch(field) is None:
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
 
 
 def write_graph(g: Graph) -> str:
@@ -318,7 +330,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed p line")
             try:
-                n, m = int(parts[1]), int(parts[2])
+                n, m = parse_decimal(parts[1]), parse_decimal(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: non-integer p line") from exc
             if n < 1 or m < 0:
@@ -329,7 +341,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed e line")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = parse_decimal(parts[1]), parse_decimal(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: non-integer e line") from exc
             if not (1 <= u < v <= n):

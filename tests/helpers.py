@@ -1,5 +1,6 @@
 """Independent reference implementations used as test oracles."""
 
+import functools
 import itertools
 import random
 
@@ -582,7 +583,7 @@ def reference_union_accepts(g: Graph, certs) -> bool:
         return False
     claims: dict[tuple[int, int], str] = {}  # (owner, row) -> source
     for v in g.vertices():
-        if _steps_iii_iv(n, v, g.adj[v], dec[v], dec, pidx) is not None:
+        if _steps_iii_iv(n, v, g.adj[v], dec, pidx) is not None:
             return False
         claims.setdefault((v, g.adj[v]), _OWN)
         for e in dec[v].pieces_part:
@@ -1087,6 +1088,91 @@ def reference_enumerate_connected_graphs(n: int):
         g = Graph(n, tuple(adj))
         if is_connected(g):
             yield g
+
+
+# --- isomorph-free exhaustive generation -------------------------------------
+
+
+def _refined_cells(g: Graph) -> list[list[int]]:
+    """The vertices in cells of equal colour, cells in colour order.  Colours
+    start as degrees; a vertex's next colour ranks its colour with the sorted
+    colours of its neighbours, until no cell splits.  Ranks follow the sorted
+    keys, so neither the cells nor their order depends on the labels."""
+    colour = [0] + [g.adj[v].bit_count() for v in g.vertices()]
+    classes = len(set(colour[1:]))
+    while True:
+        keys = [(colour[v], tuple(sorted(colour[w] for w in iter_bits(g.adj[v])))) for v in g.vertices()]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [0] + [rank[key] for key in keys]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    return [[v for v in g.vertices() if colour[v] == c] for c in range(classes)]
+
+
+def canonical_form(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(code, last): the largest code of ``g`` over the orderings that list
+    the ``_refined_cells`` in order, each cell in any permutation, and the
+    vertices that some ordering with that code puts last.
+
+    The code of an ordering is, per position i, the mask of the earlier
+    positions adjacent to the vertex at i.  Isomorphic graphs have the same
+    code, and two orderings with the largest code differ by an automorphism,
+    so ``last`` is an orbit of the automorphism group.  Orderings are built
+    position by position and a prefix below the best code so far is cut."""
+    slots = [cell for cell in _refined_cells(g) for _ in cell]
+    best, last = (), set()
+    code, pos = [], {}  # pos: vertex -> its position so far
+
+    def extend(i, v_prev):
+        nonlocal best, last
+        if i == g.n:
+            if tuple(code) > best:
+                best, last = tuple(code), set()
+            last.add(v_prev)
+            return
+        for v in slots[i]:
+            if v in pos:
+                continue
+            code.append(sum(1 << pos[w] for w in iter_bits(g.adj[v]) if w in pos))
+            if tuple(code) >= best[: i + 1]:
+                pos[v] = i
+                extend(i + 1, v)
+                del pos[v]
+            code.pop()
+
+    extend(0, None)
+    return best, frozenset(last)
+
+
+def next_order(graphs) -> list[Graph]:
+    """One graph per isomorphism class on n + 1 vertices, from one per class
+    on n, by canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).
+
+    A child joins vertex n + 1 to a subset of its parent.  It is kept when
+    the new vertex lies in the orbit that ``canonical_form`` puts last, so
+    every class is made from one parent class only, and its code is new
+    among that parent's children."""
+    out = []
+    for g in graphs:
+        n, bit = g.n + 1, 1 << g.n
+        seen = set()
+        for nbrs in range(1 << g.n):
+            child = Graph(n, (0, *(row | bit if nbrs >> (v - 1) & 1 else row for v, row in enumerate(g.adj[1:], 1)), nbrs))
+            if n not in _refined_cells(child)[-1]:
+                continue  # cheap: the last orbit lies in the last cell
+            code, last = canonical_form(child)
+            if n in last and code not in seen:
+                seen.add(code)
+                out.append(child)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def isomorph_free_graphs(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class on n >= 1 vertices (OEIS A000088)."""
+    return (Graph(1, (0, 0)),) if n == 1 else tuple(next_order(isomorph_free_graphs(n - 1)))
 
 
 # --- the verifier written from the scheme's six steps -----------------------

@@ -65,3 +65,11 @@ def test_hex_rejects_nonzero_padding():
         Bits.from_hex("01", 7)  # last bit of the byte must be padding zero
     with pytest.raises(ValueError):
         Bits.from_hex("ff", 4)
+
+
+def test_hex_rejects_non_hex_digits():
+    # int(text, 16) takes every one of these
+    for text in ("1_23", "0x12", "+123", " 123", "\uff11\uff12"):
+        with pytest.raises(ValueError, match="^not a hex string$"):
+            Bits.from_hex(text, len(text) * 4)
+    assert Bits.from_hex("aB09", 16) == Bits(0xAB09, 16)

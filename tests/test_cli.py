@@ -108,6 +108,22 @@ def test_malformed_graph_file(tmp_path, capsys):
     assert code == 2 and "GraphFormatError" in err
 
 
+def test_lenient_numbers_exit_2(tmp_path, capsys):
+    # each of these fields int() would read; an input file must spell ASCII digits
+    graph_file, cert_file = tmp_path / "g.graph", tmp_path / "g.certs"
+    for graph, certs, command in (
+        ("p 3 2\ne 1 2\ne 2 +3\n", None, "partition"),
+        ("p \uff13 2\ne 1 2\ne 2 3\n", None, "run"),
+        ("p 1 0\n", "1 16 0x12\n", "verify"),
+    ):
+        graph_file.write_text(graph)
+        args = [command, str(graph_file)] + ([str(cert_file)] if certs else [])
+        if certs:
+            cert_file.write_text(certs)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "" and "FormatError" in err, (args, out, err)
+
+
 def test_disconnected_graph_precondition(tmp_path, capsys):
     f = tmp_path / "disc.graph"
     f.write_text("p 4 1\ne 1 2\n")

@@ -193,6 +193,11 @@ def test_certificate_file_round_trip(p5_graph):
         "1 x a0\n",  # non-integer
         "",  # empty
         "1 4\n",  # missing hex for nonzero length
+        "1 16 0x12\n",  # hex prefix
+        "1 16 1_23\n",  # separator in the hex
+        "+1 4 a0\n",  # sign
+        "1 1_6 0012\n",  # separator
+        "\uff11 4 a0\n",  # full-width digit
     ],
 )
 def test_certificate_file_strict_errors(text):

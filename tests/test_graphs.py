@@ -295,6 +295,14 @@ _STRICT_ERRORS = {
     "e 1 2\np 3 1\n": "line 1: e line before p line",  # e before p
     "p 3 1\nq 1 2\n": "line 2: unknown record 'q'",  # unknown record
     "": "missing p line",  # missing p
+    # every number is ASCII -?[0-9]+; int() alone takes a sign, "_" and non-ASCII digits
+    "p 3 2\ne 1 2\ne 2 +3\n": "line 3: non-integer e line",  # sign
+    "p 3 1\ne 1 0x2\n": "line 2: non-integer e line",  # hex prefix
+    "p 1_0 0\n": "line 1: non-integer p line",  # separator
+    "p \uff13 2\n": "line 1: non-integer p line",  # full-width digit
+    "p 3 1\ne 1 \u0662\n": "line 2: non-integer e line",  # Arabic-Indic digit
+    "p 3 1\ne -1 2\n": "line 2: edge (-1,2) violates 1 <= u < v <= n",  # a minus sign is still read
+    "p 3 -1\n": "line 1: bad counts in p line",
 }
 
 

@@ -865,7 +865,7 @@ def test_bag_test_matches_role_reference():
             dec = {v: EncodedCertificate(g.adj[v], part, ()) for v in g.vertices()}
             for u in g.vertices():  # the decoder renumbers nodes in preorder
                 want = reference_bag_test(pidx.tp.bags[pidx.node_of[u]], u, g.adj[u])
-                got = _steps_iii_iv(g.n, u, g.adj[u], dec[u], dec, pidx)
+                got = _steps_iii_iv(g.n, u, g.adj[u], dec, pidx)
                 if want is None:
                     cases["fits"] += 1
                     assert got is None or not got.witness.startswith(bag_witnesses), (g.adj, tp, u, got)
@@ -942,19 +942,19 @@ def verify_all_traced(g, certs):
     what its search on ``g`` found: None when it did not search, else
     whether it found a 5-path."""
     sent, found = set(), []
-    search, per_vertex = p5free.find_known_induced_p5, p5free.verdict_at
+    search, per_vertex = p5free.is_p5_free, p5free.verdict_at
 
-    def search_probe(km):
-        witness = search(km)
-        found.append(witness is not None)
-        return witness
+    def search_probe(g):
+        free = search(g)
+        found.append(not free)
+        return free
 
     def verdict_probe(n, u, *args):
         sent.add(u)
         return per_vertex(n, u, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(p5free, "find_known_induced_p5", search_probe)
+        mp.setattr(p5free, "is_p5_free", search_probe)
         mp.setattr(p5free, "verdict_at", verdict_probe)
         verdicts = p5free.verify_all(g, certs)
     assert len(found) <= 1, "the search on g runs at most once"
@@ -1115,6 +1115,26 @@ def with_one_lie(g, tp, certs, kind, rng):
         forged = replace(dec[u], partitioning_part=pc.encode_partitioning(other, g.n))
         assert forged.partitioning_part != dec[u].partitioning_part
     return u, {**certs, u: encode_certificate(forged, g.n)}
+
+
+def test_honest_run_leaves_nothing_in_the_view_caches(corpus_graphs):
+    # the batch verifier decodes past _decode's cache and searches g through
+    # is_p5_free, so an honest run leaves one partition index per block
+    graphs = [g for _, g in corpus_graphs] + [pc.generate(GeneratorSpec("split", 512, 0.5, 1))]
+    searched, blocks = [], set()
+    search = p5free.is_p5_free
+    for cached in (p5free._decode, p5free._partition_index, p5free._find_p5_known):
+        cached.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(p5free, "is_p5_free", lambda g: searched.append(g) or search(g))
+        for g in graphs:
+            certs = pc.prove(g)
+            assert pc.run(g, SCHEME, certs).all_accept
+            blocks |= {(decode_certificate(b, g.n).partitioning_part, g.n) for b in certs.values()}
+    assert [id(g) for g in searched] == [id(g) for g in graphs], "the search on g runs once per run"
+    assert p5free._decode.cache_info().currsize == 0
+    assert p5free._find_p5_known.cache_info().currsize == 0
+    assert 0 < p5free._partition_index.cache_info().currsize <= len(blocks)
 
 
 def test_verify_all_one_lie_split_256():
