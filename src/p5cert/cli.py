@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
 )
 from .framework import Scheme, format_run_report, max_cert_bits, run
-from .graphs import parse_graph, write_graph
+from .graphs import parse_decimal, parse_graph, write_graph
 from .harness import AdversaryStrategy, GeneratorSpec
 from .codec import parse_certificates, write_certificates
 from .p5free import is_p5_free, scheme as p5_scheme
@@ -52,7 +52,7 @@ def _unknown_scheme(name: str) -> str:
 
 def get_scheme(name: str) -> Scheme:
     if name.startswith("kk:"):
-        return baselines.kk_freeness_scheme(int(name[3:]))
+        return baselines.kk_freeness_scheme(parse_decimal(name[3:]))
     if name not in _SCHEMES:
         raise ValueError(_unknown_scheme(name))
     return _SCHEMES[name]()
@@ -62,7 +62,7 @@ def _scheme_name(name: str) -> str:
     """argparse type of --scheme: a known name, or kk:<k> with an integer k."""
     if name.startswith("kk:"):
         try:
-            int(name[3:])
+            parse_decimal(name[3:])
         except ValueError:
             raise argparse.ArgumentTypeError(f"kk:<k> needs an integer k, got {name!r}") from None
     elif name not in _SCHEMES:
@@ -85,9 +85,11 @@ def _checked(parse, ok, expected: str):
     return convert
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+# integers as the input files spell them: ASCII -?[0-9]+ (``parse_decimal``)
+_integer = _checked(parse_decimal, lambda v: True, "an integer")
+_positive_int = _checked(parse_decimal, lambda v: v >= 1, "a positive integer")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_sizes = _checked(lambda text: [int(s) for s in text.split(",")], lambda v: min(v) >= 1, "comma-separated positive integers")
+_sizes = _checked(lambda text: [parse_decimal(s) for s in text.split(",")], lambda v: min(v) >= 1, "comma-separated positive integers")
 
 
 def _load_graph(path: str):
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
     p.add_argument("--n", required=True, type=_positive_int)
     p.add_argument("--p", type=_probability, default=0.5)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_integer)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -200,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--strategy", required=True, choices=harness.STRATEGIES)
     p.add_argument("--trials", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_integer)
     p.add_argument("--counterexample-out", default="counterexample.certs")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("measure", help="certificate size scaling CSV", allow_abbrev=False)
     p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated vertex counts")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_integer)
     p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_measure)

@@ -338,7 +338,8 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     # per-stream work that no trial changes
     path = find_induced_path(g) if kind == "wrong-graph" else None
     proofs: dict[tuple[int, ...], CertificateAssignment | P5CertError] = {}
-    base_dec = {v: decode_certificate(base[v], n) for v in g.vertices()}
+    if kind in ("lying-partition", "lying-pieces", "greedy-search"):
+        base_dec = {v: decode_certificate(base[v], n) for v in g.vertices()}
     if kind == "greedy-search":
         base_rej = rejecting_mask(g, base_dec, g.full_mask)
 

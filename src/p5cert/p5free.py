@@ -533,6 +533,37 @@ def verify(view: LocalView) -> Verdict:
     return verdict_at(n, view.self_id, view.neighbor_ids_mask(), dec_of)
 
 
+def _settled(
+    n: int, adj: tuple[int, ...], dec: Mapping[int, Optional[EncodedCertificate]], ready: int, t: int, pidx: PartitionIndex
+) -> int:
+    """The vertices of ``ready`` whose steps (iii)-(iv) pass, by tests made
+    once per tree node of block B; ``t`` is T(B), B counts and ``ready``
+    holds vertices whose closed neighborhood lies in T(B) (see
+    ``verify_all``).  A vertex left out may still pass."""
+    unsettled = 0
+    for node, bag in enumerate(pidx.tp.bags):
+        members, gs = pidx.members_mask[node], pidx.subtree_mask[node]
+        seen = 0
+        for m in iter_bits(members):
+            seen |= adj[m]
+        unsettled |= gs & ~members & ~seen  # (iii): no neighbor in this ancestor bag
+        if members & ~t:
+            unsettled |= members
+        elif bag_is_small(bag, n):  # (iv): one pieces tuple, owned by the members
+            ms = bag.sorted_members()
+            pieces = dec[ms[0]].pieces_part
+            if tuple(e.owner for e in pieces) != ms or any(dec[m].pieces_part != pieces for m in ms[1:]):
+                unsettled |= members
+        else:  # (iv): the members' rows cover the subtree
+            coverage = 0
+            for m in iter_bits(members):
+                for e in dec[m].pieces_part:
+                    coverage |= 1 << (e.owner - 1)
+            if gs & ~coverage:
+                unsettled |= members
+    return ready & ~unsettled
+
+
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     """``{v: verify(local_view(g, certs, v))}`` for every vertex, from one
     uncached decode table; a view folding only true statements runs no closure.
@@ -541,16 +572,31 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     vertex's actual row, carries only its owners' actual pieces rows, and
     holds block B.  B counts when it decodes and every pair it implies is
     true of ``g``.  A vertex whose closed neighborhood lies in T(B), for a
-    B that counts, gets its steps (iii)-(iv) verdict or accept, unless
-    ``is_p5_free``, run once if some vertex qualifies, finds a 5-path in
-    ``g``.  Every other vertex gets ``verdict_at``.
+    B that counts, is ready: it gets accept when the node tests of B settle
+    it, else its steps (iii)-(iv) verdict or accept, unless ``is_p5_free``,
+    run once if some vertex is ready, finds a 5-path in ``g``.  Every other
+    vertex gets ``verdict_at``.
 
-    Why this is exact, per view: steps (i)-(ii) pass at such a vertex, and
+    Why this is exact, per view: steps (i)-(ii) pass at a ready vertex, and
     every statement its step (v) folds is true of ``g``: its own and its
     neighbors' rows, every pieces row any of them carries, and the pairs B
     implies.  True statements never disagree, so its closure cannot raise,
     and its map lies inside the map of ``g``.  A fully known induced 5-path
     in its map would be one of ``g``, which the search on ``g`` rules out.
+
+    Why the node tests are exact (``_settled``): at a ready vertex v the bag
+    test and the branch test of step (iii) pass, as B counts.  v passes the
+    ancestor test unless some node a above it has no neighbor of v in its
+    bag, that is, unless v lies in the strict subtree of a and outside
+    N(bag a).  For a big bag, a clique as B counts, v's bag neighbors are
+    all the other members, so step (iv) sees the one coverage union of all
+    members, and every row it checks is a pieces row of T(B) against a
+    claimed row of a neighbor, both actual rows.  For a small bag, when
+    every member holds one pieces tuple owned by exactly the sorted members,
+    v's owners match, its own entry is its actual row, and every bag
+    neighbor's tuple equals v's.  A block settles only its own ready
+    vertices; every other ready vertex runs ``_steps_iii_iv``, so every
+    rejection keeps its step and witness.
     """
     n, adj = g.n, g.adj
     dec = {v: _decode.__wrapped__(certs[v], n) for v in g.vertices()}
@@ -566,17 +612,25 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
             for e in d.pieces_part:
                 rows_true &= e.row == adj[e.owner]
             t[0] |= rows_true << (v - 1)
-    true_view: dict[int, PartitionIndex] = {}  # qualifying vertex -> the index of its block
+    settled = 0  # ready vertices that pass steps (iii)-(iv) by the node tests
+    true_view: dict[int, PartitionIndex] = {}  # every other ready vertex -> the index of its block
     for b, (t,) in trusted.items():
-        ready = [v for v in iter_bits(t) if not adj[v] & ~t]
+        ready = 0
+        for v in iter_bits(t):
+            if not adj[v] & ~t:
+                ready |= 1 << (v - 1)
         pidx = _partition_index(b, n) if ready else None
         if pidx is not None and not any(
             ie & ~a or (ine | cn) & a for ie, ine, cn, a in zip(pidx.intra_edge, pidx.intra_nonedge, pidx.cross_nonedge, adj)
         ):
-            true_view.update(dict.fromkeys(ready, pidx))
-    if true_view and not is_p5_free(g):
-        true_view = {}
-    return {v: _steps_iii_iv(n, v, adj[v], dec, true_view[v]) or ACCEPT if v in true_view else verdict_at(n, v, adj[v], dec)
+            ok = _settled(n, adj, dec, ready, t, pidx)
+            settled |= ok
+            true_view.update(dict.fromkeys(iter_bits(ready & ~ok), pidx))
+    if (settled or true_view) and not is_p5_free(g):
+        settled, true_view = 0, {}
+    return {v: ACCEPT if settled >> (v - 1) & 1
+            else _steps_iii_iv(n, v, adj[v], dec, true_view[v]) or ACCEPT if v in true_view
+            else verdict_at(n, v, adj[v], dec)
             for v in g.vertices()}
 
 

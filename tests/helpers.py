@@ -1049,10 +1049,12 @@ def reference_partition_index(part_bits: Bits, n: int):
 # --- the prover as it encoded one certificate per vertex -------------------
 
 
-def reference_prove(g: Graph):
+def reference_prove(g: Graph, tp: TreePartition | None = None):
     """``p5free.prove`` with every certificate encoded from scratch,
-    row included; oracle for the per-bag encoding."""
-    tp = build_tree_partition(g)
+    row included; oracle for the per-bag encoding.  With ``tp``, the
+    certificates the prover would write had it built ``tp``."""
+    if tp is None:
+        tp = build_tree_partition(g)
     part_bits = encode_partitioning(tp, g.n)
     subtree = tp.subtree_masks()
     entries: dict[int, tuple[NeighborhoodRow, ...]] = {}

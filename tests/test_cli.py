@@ -196,10 +196,30 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
         (["measure", "--sizes", "8", "--family", "split", "--seed", "1", "--p", "2", "--out", out_csv], "--p", "2"),
         (["fuzz", graph_file, "--strategy", "bitflip", "--trials", "0", "--seed", "1"], "--trials", "0"),
     ]
+    # int() would read each of these; an integer option value is spelled as
+    # in the input files: a full-width digit, a separator, a sign, an Arabic-Indic digit
+    fuzz = ["fuzz", graph_file, "--strategy", "bitflip"]
+    measure = ["measure", "--family", "split", "--out", out_csv]
+    for bad in ("\uff164", "1_0", "+3", "\u0663"):
+        cases += [
+            (gen + ["--n", bad], "--n", bad),
+            (gen + ["--n", "8", "--seed", bad], "--seed", bad),
+            (fuzz + ["--trials", bad, "--seed", "1"], "--trials", bad),
+            (fuzz + ["--trials", "2", "--seed", bad], "--seed", bad),
+            (measure + ["--sizes", bad, "--seed", "1"], "--sizes", bad),
+            (measure + ["--sizes", f"8,{bad}", "--seed", "1"], "--sizes", f"8,{bad}"),
+            (measure + ["--sizes", "8", "--seed", bad], "--seed", bad),
+            (["run", graph_file, "--scheme", f"kk:{bad}"], "--scheme", f"kk:{bad}"),
+        ]
     for args, option, bad in cases:
         code, err = _exit_code(capsys, *args)
         assert code == 2 and f"argument {option}:" in err and f"got {bad!r}" in err, (args, err)
     assert not any(tmp_path.iterdir())
+    # a negative seed is an integer
+    code, out, _ = run_cli(capsys, "gen", "--family", "with-p5", "--n", "8", "--seed", "-3", "--out", graph_file)
+    assert code == 0 and "wrote" in out
+    code, out, _ = run_cli(capsys, *fuzz, "--trials", "2", "--seed", "-3")
+    assert code == 0 and "SOUNDNESS-FUZZ: PASS(2)" in out
 
 
 def test_generation_budget_exceeded_exit_1(tmp_path, capsys):

@@ -148,6 +148,25 @@ def test_adversarial_streams_deterministic(p5_graph):
         assert len(a) == 5
 
 
+def test_streams_decode_the_base_only_to_edit_it(p5_graph, monkeypatch):
+    # bitflip and wrong-graph trials never read a decoded certificate
+    from p5cert import harness
+
+    calls = []
+    decode = harness.decode_certificate
+    monkeypatch.setattr(harness, "decode_certificate", lambda b, n: calls.append(b) or decode(b, n))
+    for kind in STRATEGIES:
+        calls.clear()
+        for _ in pc.adversarial_certificates(p5_graph, pc.AdversaryStrategy(kind, 5, seed=3)):
+            pass
+        if kind in ("bitflip", "wrong-graph"):
+            assert calls == [], kind
+        elif kind == "greedy-search":
+            assert len(calls) >= p5_graph.n, kind
+        else:
+            assert len(calls) == p5_graph.n, kind
+
+
 def test_wrong_graph_strategy_trips_step_i(p5_graph):
     # certificates proved for a graph with a 5-path edge toggled disagree
     # with someone's true neighborhood

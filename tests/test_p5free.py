@@ -938,11 +938,13 @@ def test_small_and_big_threshold_agreement():
 
 
 def verify_all_traced(g, certs):
-    """verify_all's verdicts, the vertices it sent to ``verdict_at``, and
-    what its search on ``g`` found: None when it did not search, else
-    whether it found a 5-path."""
-    sent, found = set(), []
-    search, per_vertex = p5free.is_p5_free, p5free.verdict_at
+    """verify_all's verdicts; the route each vertex took: the vertices it
+    sent to ``verdict_at``, the vertices it sent to ``_steps_iii_iv``, and
+    the vertices the node tests settled; and what its search on ``g``
+    found: None when it did not search, else whether it found a 5-path."""
+    sent, stepped, found = set(), set(), []
+    settled_mask = 0
+    search, per_vertex, steps, node_tests = p5free.is_p5_free, p5free.verdict_at, p5free._steps_iii_iv, p5free._settled
 
     def search_probe(g):
         free = search(g)
@@ -953,12 +955,29 @@ def verify_all_traced(g, certs):
         sent.add(u)
         return per_vertex(n, u, *args)
 
+    def steps_probe(n, u, *args):
+        if u not in sent:  # verdict_at at u calls it too
+            stepped.add(u)
+        return steps(n, u, *args)
+
+    def settled_probe(*args):
+        nonlocal settled_mask
+        ok = node_tests(*args)
+        settled_mask |= ok
+        return ok
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(p5free, "is_p5_free", search_probe)
         mp.setattr(p5free, "verdict_at", verdict_probe)
+        mp.setattr(p5free, "_steps_iii_iv", steps_probe)
+        mp.setattr(p5free, "_settled", settled_probe)
         verdicts = p5free.verify_all(g, certs)
     assert len(found) <= 1, "the search on g runs at most once"
-    return verdicts, sent, found[0] if found else None
+    settled = set() if found == [True] else set(iter_bits(settled_mask))  # a 5-path in g voids the node tests
+    assert not (sent & stepped or settled & (sent | stepped)), "one route per vertex"
+    assert sent | stepped | settled == set(g.vertices())
+    assert all(verdicts[v].accept for v in settled)
+    return verdicts, sent, stepped, settled, found[0] if found else None
 
 
 def reference_outcome(g, certs):
@@ -1143,11 +1162,28 @@ def test_verify_all_one_lie_split_256():
     certs = pc.prove(g)
     non = g.full_mask & ~g.adj[5] & ~(1 << 4)
     certs[5] = encode_certificate(replace(decode_certificate(certs[5], g.n), neighbors_part=g.adj[5] | non & -non), g.n)
-    got, sent, p5_in_g = verify_all_traced(g, certs)
+    got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
     assert got == {v: verify(local_view(g, certs, v)) for v in g.vertices()}
     assert got[5].step == "i" and sum(not d.accept for d in got.values()) > 1
-    # verdict_at runs only at the views that hold vertex 5's certificate
+    # verdict_at runs only at the views that hold vertex 5's certificate,
+    # and the node tests settle every other vertex
     assert sent == closed_neighborhood(g, 5) and p5_in_g is False
+    assert not stepped and settled == set(g.vertices()) - sent
+
+
+def _fallback_reason(d):
+    """Why the node tests left a vertex with verdict ``d`` to ``_steps_iii_iv``."""
+    if d.accept:
+        return "accept"
+    for why, prefix in (
+        ("ancestor", "no neighbor in ancestor bag"),
+        ("coverage gap", "no visible row for subtree vertex"),
+        ("differing pieces", "pieces differ from bag member"),
+        ("differing pieces", "pieces owners are not exactly"),
+    ):
+        if d.witness.startswith(prefix):
+            return why
+    return d.witness
 
 
 def test_verify_all_matches_verify():
@@ -1200,14 +1236,45 @@ def test_verify_all_matches_verify():
                     expect_sent[len(cases)] = closed_neighborhood(g, u)
                     cases.append((kind, g, forged))
 
+    # honest big clique bags, and the largest honest proof checked at every view
+    for g in list(random_big_clique_graphs()) + [pc.generate(GeneratorSpec("split", 512, 0.5, 1))]:
+        cases.append(("honest", g, pc.prove(g)))
+    # F1's moved subtrees, certified with true rows, where a vertex has no
+    # neighbor in an ancestor bag: the node tests must send it to step (iii)
+    rng = random.Random(27)
+    for family in ("split", "p5free-repair", "cograph"):
+        for seed in range(1, 13):
+            g = pc.generate(GeneratorSpec(family, 24, 0.5, seed))
+            for tp in moved_subtrees(pc.build_tree_partition(g), rng, 4):
+                violation = pc.validate_tree_partition(g, tp)
+                if violation is not None and violation.condition == "2":
+                    cases.append(("moved subtree", g, reference_prove(g, tp)))
+    # a member of a big bag drops a pieces row, which can leave a coverage gap
+    for g in random_big_clique_graphs():
+        forged = with_local_lie(g, pc.build_tree_partition(g), pc.prove(g), "dropped row", rng)
+        if forged is not None:
+            cases.append(("dropped row", g, forged))
+
     kinds = collections.Counter()  # what the inputs hold
     rejected = collections.Counter()  # lies of these families that some view rejects
     mixed = collections.Counter()  # one-lie cases where some views skip verdict_at and some do not
+    routes = collections.Counter()  # vertices settled by node tests, and next to a second block
+    fallback = collections.Counter()  # (source, why) of the vertices sent to _steps_iii_iv
     union_raised = 0
     for i, (source, g, certs) in enumerate(cases):
         want = {v: verify(local_view(g, certs, v)) for v in g.vertices()}
-        got, sent, p5_in_g = verify_all_traced(g, certs)
+        got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
         assert got == want, source
+        routes["settled"] += len(settled)
+        for v in stepped:
+            fallback[source, _fallback_reason(got[v])] += 1
+        # a vertex whose closed neighborhood holds two blocks, or a
+        # certificate that does not decode, is no block's to settle
+        dec = {v: p5free._decode(b, g.n) for v, b in certs.items()}
+        held = {v: {dec[w] and dec[w].partitioning_part for w in closed_neighborhood(g, v)} for v in g.vertices()}
+        boundary = {v for v, blocks in held.items() if len(blocks) > 1 or None in blocks}
+        assert boundary <= sent, source
+        routes["next to a second block", source] += len(boundary)
         # the union closure of the first batch test accepts exactly when
         # every view skips verdict_at and accepts
         ref_accepts, ref_raised = reference_outcome(g, certs)
@@ -1216,12 +1283,11 @@ def test_verify_all_matches_verify():
         if i in expect_sent:
             assert sent == expect_sent[i], source
             mixed[source] += 0 < len(sent) < g.n
-        dec = [p5free._decode(b, g.n) for b in certs.values()]
         kinds["clean"] += ref_accepts
         kinds["5-path in g"] += p5_in_g is True
         kinds["step (i)-(iv) reject"] += any(d.step in ("malformed", "i", "ii", "iii", "iv") for d in want.values())
-        kinds["blocks differ"] += len({d.partitioning_part for d in dec if d is not None}) > 1
-        kinds["false pieces row"] += any(e.row != g.adj[e.owner] for d in dec if d is not None for e in d.pieces_part)
+        kinds["blocks differ"] += len({d.partitioning_part for d in dec.values() if d is not None}) > 1
+        kinds["false pieces row"] += any(e.row != g.adj[e.owner] for d in dec.values() if d is not None for e in d.pieces_part)
         if source in ("two blocks",) + LOCAL_LIES and not all(d.accept for d in want.values()):
             rejected[source] += 1
     for kind in ("clean", "false pieces row", "5-path in g", "step (i)-(iv) reject", "blocks differ"):
@@ -1229,6 +1295,33 @@ def test_verify_all_matches_verify():
     assert union_raised >= 20, union_raised
     assert min(rejected[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, rejected
     assert min(mixed[s] for s in ONE_LIES) >= 20, mixed
+    # the node tests settle most honest vertices, and leave to _steps_iii_iv
+    # each kind of vertex they cannot vouch for
+    assert routes["settled"] >= 11_000, routes
+    for why, source, floor in (
+        ("ancestor", "moved subtree", 60),
+        ("coverage gap", "dropped row", 500),
+        ("differing pieces", "dropped row", 100),
+    ):
+        assert fallback[source, why] >= floor, fallback
+    # a block settles only its own ready vertices
+    assert routes["next to a second block", "second valid block"] >= 2000, routes
+    assert routes["next to a second block", "other block"] >= 800, routes
+
+
+def test_verify_all_settles_split_1024():
+    # honest split n = 1024 seed 1: the node tests settle every vertex; the
+    # per-vertex steps (iii)-(iv) pass everywhere, and per-view verdict_at
+    # agrees at a seeded sample (all 1024 views take two minutes)
+    g = pc.generate(GeneratorSpec("split", 1024, 0.5, 1))
+    certs = pc.prove(g)
+    got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
+    assert settled == set(g.vertices()) and p5_in_g is False
+    dec = {v: p5free._decode.__wrapped__(b, g.n) for v, b in certs.items()}
+    pidx = _partition_index(dec[1].partitioning_part, g.n)
+    assert all(_steps_iii_iv(g.n, v, g.adj[v], dec, pidx) is None for v in g.vertices())
+    for v in random.Random(27).sample(range(1, g.n + 1), 12):
+        assert p5free.verdict_at(g.n, v, g.adj[v], dec) == got[v]
 
 
 # --- the whole verdict against the spec verifier ------------------------------
