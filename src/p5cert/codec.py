@@ -31,12 +31,14 @@ in a P3, ceil(sqrt n) in a clique); a member of a big bag, k > ceil(sqrt n)
 members, holds its own row and at most ceil(n/k) <= ceil(sqrt n) others.
 
 How fields are written: the neighbor row comes first and its field has a
-fixed width, so a certificate encoded with a zero row differs from the
-same certificate with row r only in its leading n bits.  The members of
-a small bag carry the same block and the same pieces, so ``prove``
-encodes such a bag once (a big bag once per member) and writes each
-member's row into that encoding with one shift and one OR
-(``write_row``).
+fixed width, so a certificate with a zero row differs from the same
+certificate with row r only in its leading n bits.  Every vertex of a
+proof carries the same block, and the members of a small bag also the
+same pieces.  ``encode_certificates`` therefore joins the length field and
+the block once, shifts them once per distinct pieces count, writes each
+bundle's tail once, and gives each holder its row with one shift and one
+OR.  ``encode_certificate`` writes one certificate; both take the tail
+from ``_tail``.
 
 How fields are read: a certificate's row and block length come off the
 top with one shift.  The tail (entry count and entries) is then everything
@@ -52,6 +54,7 @@ first field, in stream order, that cannot be read or fails its check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .bits import Bits
 from .errors import (
@@ -218,8 +221,7 @@ class NeighborhoodRow:
     def __post_init__(self):
         if self.owner < 1:
             raise ValueError("owner id must be positive")
-        if self.row >> (self.owner - 1) & 1:
-            raise ValueError("row claims a self loop")
+        _no_self_loop(self.owner, self.row)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,40 +233,75 @@ class EncodedCertificate:
     pieces_part: tuple[NeighborhoodRow, ...]
 
 
-def _does_not_fit(value: int, width: int) -> MalformedCertificate:
-    return MalformedCertificate(f"field does not fit: {value} does not fit in {width} bits")
+def _no_self_loop(owner: int, row: int) -> None:
+    if row >> (owner - 1) & 1:
+        raise ValueError("row claims a self loop")
+
+
+def _fit(value: int, width: int) -> None:
+    if value >> width:  # nonzero also when value < 0
+        raise MalformedCertificate(f"field does not fit: {value} does not fit in {width} bits")
+
+
+def _tail(owners: Sequence[int], rows: Iterable[int], w: int, n: int) -> tuple[int, int]:
+    """The fields below the block, as (value, length): the entry count,
+    then each owner id and its row."""
+    tail = len(owners)
+    _fit(tail, w)
+    size = w + n
+    for owner, row in zip(owners, rows):
+        if owner >> w or row >> n:
+            _fit(owner, w)
+            _fit(row, n)
+        tail = tail << size | (owner << n | row)
+    return tail, w + len(owners) * size
 
 
 def encode_certificate(cert: EncodedCertificate, n: int) -> Bits:
+    """One certificate; ``encode_certificates`` writes a proof's at once."""
     w = idwidth(n)
     pw = 2 * w + 3  # plen_width(n)
     row, block, pieces = cert.neighbors_part, cert.partitioning_part, cert.pieces_part
     plen = block.length
-    if row < 0 or row >> n:
-        raise _does_not_fit(row, n)
-    if plen >> pw:
-        raise _does_not_fit(plen, pw)
-    if len(pieces) >> w:
-        raise _does_not_fit(len(pieces), w)
-    tail = len(pieces)
-    for e in pieces:
-        if e.owner >> w:
-            raise _does_not_fit(e.owner, w)
-        if e.row < 0 or e.row >> n:
-            raise _does_not_fit(e.row, n)
-        tail = (tail << w | e.owner) << n | e.row
-    tail_len = w + len(pieces) * (w + n)
-    head = row << pw | plen
-    return Bits((head << plen | block.value) << tail_len | tail, n + pw + plen + tail_len)
+    _fit(row, n)
+    _fit(plen, pw)
+    tail, tail_len = _tail([e.owner for e in pieces], [e.row for e in pieces], w, n)
+    return Bits(((row << pw | plen) << plen | block.value) << tail_len | tail, n + pw + plen + tail_len)
 
 
-def write_row(body: Bits, row: int, n: int) -> Bits:
-    """``body``, an encoded certificate whose neighbor row is 0, with ``row``
-    written into its leading n bits: ``encode_certificate`` of the same
-    certificate with that row, and the same error if the row does not fit."""
-    if row < 0 or row >> n:
-        raise _does_not_fit(row, n)
-    return Bits(body.value | row << (body.length - n), body.length)
+def encode_certificates(
+    block: Bits, adj: Sequence[int], bundles: Sequence[tuple[Sequence[int], Sequence[int]]], n: int
+) -> dict[int, Bits]:
+    """The certificates of every holder in ``bundles``, in bundle order.
+
+    Each bundle is (owners, holders): every holder h gets
+    ``encode_certificate(EncodedCertificate(adj[h], block, pieces), n)``,
+    the pieces being the ids ``owners`` with their rows ``adj[owner]``.
+    A pieces row with a self loop raises ``NeighborhoodRow``'s ValueError
+    before anything is written, and a field that does not fit raises
+    ``encode_certificate``'s error for that field.
+    """
+    for owners, _ in bundles:
+        for owner in owners:
+            _no_self_loop(owner, adj[owner])
+    w = idwidth(n)
+    pw = 2 * w + 3  # plen_width(n)
+    plen = block.length
+    _fit(plen, pw)
+    head = plen << plen | block.value  # length field | block
+    shifted: dict[int, int] = {}  # pieces count -> head << tail length
+    certs = {}
+    for owners, holders in bundles:
+        tail, tail_len = _tail(owners, [adj[o] for o in owners], w, n)
+        top = shifted.get(len(owners))
+        if top is None:
+            top = shifted[len(owners)] = head << tail_len
+        body, length = top | tail, n + pw + plen + tail_len
+        for h in holders:
+            row = adj[h]
+            _fit(row, n)
+            certs[h] = Bits(body | row << (length - n), length)
+    return certs
 
 
 def decode_certificate(b: Bits, n: int) -> EncodedCertificate:

@@ -20,12 +20,11 @@ from typing import Mapping, NoReturn, Optional
 from .bits import Bits
 from .codec import (
     EncodedCertificate,
-    NeighborhoodRow,
     decode_certificate,
     decode_partitioning,
-    encode_certificate,
+    encode_certificate,  # not called here; perfbench/probes.py TRACE_POINTS wraps this name
+    encode_certificates,
     encode_partitioning,
-    write_row,
 )
 from .errors import MalformedCertificate, MalformedPartitioning, P5CertError
 from .framework import ACCEPT, CertificateAssignment, LocalView, Scheme, Verdict
@@ -61,40 +60,35 @@ class Contradiction(P5CertError):
 def prove(g: Graph) -> CertificateAssignment:
     """Honest certificates; succeeds on every connected P5-free graph.
 
-    Each bag is encoded once with a zero row (a big bag once per member,
-    since its members carry different pieces), and each member writes its
-    own row into that encoding (see ``codec``)."""
-    n, adj = g.n, g.adj
+    The members of a small bag share one pieces bundle, its members' rows;
+    each member of a big bag gets its own (``_round_robin``).  All of them
+    are written in one pass (``codec.encode_certificates``)."""
+    n = g.n
     tp = build_tree_partition(g)
-    part_bits = encode_partitioning(tp, n)
     subtree = tp.subtree_masks()
-    certs: CertificateAssignment = dict.fromkeys(g.vertices())  # in vertex order
+    bundles = []  # (pieces owners, holders)
     for node, bag in enumerate(tp.bags):
         members = bag.sorted_members()
         if bag_is_small(bag, n):
-            rows = tuple(NeighborhoodRow(m, adj[m]) for m in members)
-            body = encode_certificate(EncodedCertificate(0, part_bits, rows), n)
-            for m in members:
-                certs[m] = write_row(body, adj[m], n)
+            bundles.append((members, members))
         else:
-            for m, rows in zip(members, _round_robin(g, members, subtree[node])):
-                body = encode_certificate(EncodedCertificate(0, part_bits, rows), n)
-                certs[m] = write_row(body, adj[m], n)
-    return certs
+            bundles += ((owners, (m,)) for m, owners in zip(members, _round_robin(members, subtree[node])))
+    certs = encode_certificates(encode_partitioning(tp, n), g.adj, bundles, n)
+    return {v: certs[v] for v in g.vertices()}
 
 
-def _round_robin(g: Graph, members: tuple[int, ...], subtree: int) -> list[tuple[NeighborhoodRow, ...]]:
-    """Pieces bundles of the k members of a big clique bag, in member order:
+def _round_robin(members: tuple[int, ...], subtree: int) -> list[tuple[int, ...]]:
+    """Pieces owners of the k members of a big clique bag, in member order:
     the j-th subtree vertex goes to the (j mod k)-th member (both ascending),
-    after each member's own row, so a bundle holds at most ceil(|subtree|/k)
+    after each member's own id, so a bundle holds at most ceil(|subtree|/k)
     + 1 rows and the bundles jointly cover the subtree."""
     k = len(members)
-    bundles = [[NeighborhoodRow(m, g.adj[m])] for m in members]
+    bundles = [[m] for m in members]
     for j, v in enumerate(iter_bits(subtree)):
         slot = j % k
         if v != members[slot]:
-            bundles[slot].append(NeighborhoodRow(v, g.adj[v]))
-    return [tuple(rows) for rows in bundles]
+            bundles[slot].append(v)
+    return [tuple(owners) for owners in bundles]
 
 
 # --- decoded-certificate and partition caches ------------------------------

@@ -34,7 +34,7 @@ from p5cert.graphs import (
     set_of,
 )
 from p5cert.harness import _RECONNECT_ROUNDS, _derived_rng
-from p5cert.p5free import _round_robin, bag_is_small
+from p5cert.p5free import bag_is_small
 from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, _first_cover, _pairs, build_tree_partition
 
 
@@ -1051,8 +1051,9 @@ def reference_partition_index(part_bits: Bits, n: int):
 
 def reference_prove(g: Graph, tp: TreePartition | None = None):
     """``p5free.prove`` with every certificate encoded from scratch,
-    row included; oracle for the per-bag encoding.  With ``tp``, the
-    certificates the prover would write had it built ``tp``."""
+    row included, and the big bags' bundles dealt one subtree vertex at a
+    time; oracle for the one-pass encoding.  With ``tp``, the certificates
+    the prover would write had it built ``tp``."""
     if tp is None:
         tp = build_tree_partition(g)
     part_bits = encode_partitioning(tp, g.n)
@@ -1064,7 +1065,15 @@ def reference_prove(g: Graph, tp: TreePartition | None = None):
             rows = tuple(NeighborhoodRow(m, g.adj[m]) for m in members)
             entries.update((m, rows) for m in members)
         else:
-            entries.update(zip(members, _round_robin(g, members, subtree[node])))
+            # the j-th subtree vertex (ascending) goes to the (j mod k)-th
+            # member, after each member's own row
+            owners = {m: [m] for m in members}
+            below = [v for v in g.vertices() if subtree[node] >> (v - 1) & 1]
+            for j, v in enumerate(below):
+                m = members[j % len(members)]
+                if v != m:
+                    owners[m].append(v)
+            entries.update((m, tuple(NeighborhoodRow(v, g.adj[v]) for v in owners[m])) for m in members)
     certs = {}
     for v in g.vertices():
         cert = EncodedCertificate(g.adj[v], part_bits, entries[v])

@@ -11,14 +11,13 @@ a check would fail here rather than go unnoticed.
 import collections
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
 import p5cert as pc
 from p5cert import p5free
 from p5cert.bits import Bits
-from p5cert.codec import EncodedCertificate, NeighborhoodRow, idwidth, plen_width, write_row
+from p5cert.codec import EncodedCertificate, NeighborhoodRow, encode_certificates, idwidth, plen_width
 from p5cert.errors import P5CertError
 from p5cert.harness import GeneratorSpec, _random_false_partition, generate, p5free_corpus
 from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
@@ -324,21 +323,47 @@ def test_encode_fields_that_do_not_fit():
     )
 
 
-def row_written(cert: EncodedCertificate, n: int) -> Bits:
-    """``cert`` encoded with a zero row, then its row written in, as ``prove``
-    builds every certificate."""
-    return write_row(pc.encode_certificate(replace(cert, neighbors_part=0), n), cert.neighbors_part, n)
+def written(block: Bits, adj: list[int], owners: tuple[int, ...], n: int) -> Bits:
+    """The certificate ``encode_certificates`` writes for holder n + 1 of
+    one bundle, its row ``adj[n + 1]`` and its pieces owners ``owners``."""
+    return encode_certificates(block, adj, [(owners, (n + 1,))], n)[n + 1]
 
 
-def test_write_row_matches_encode_certificate():
+def reference_written(block: Bits, adj: list[int], owners: tuple[int, ...], n: int) -> Bits:
+    pieces = tuple(NeighborhoodRow(o, adj[o]) for o in owners)
+    return reference_encode_certificate(EncodedCertificate(adj[n + 1], block, pieces), n)
+
+
+def test_encode_certificates_matches_reference():
+    # each bundle and row alone, then the fitting rows of one certificate
+    # written together: holders sharing a bundle, bundles sharing a count
     rng = random.Random(2002)
     tally = collections.Counter()
     for n, b in sample_certificates():
         cert = pc.decode_certificate(b, n)
+        block = cert.partitioning_part
+        adj = [0] + [rng.getrandbits(n) & ~(1 << (v - 1)) for v in range(1, n + 1)] + [0]
+        for e in cert.pieces_part:
+            adj[e.owner] = e.row
+        honest = tuple(e.owner for e in cert.pieces_part)
+        drawn = tuple(sorted(rng.sample(range(1, n + 1), len(honest))))
+        bundles = (honest, (), tuple(range(1, n + 1)), drawn)
         rows = (cert.neighbors_part, 0, (1 << n) - 1, rng.getrandbits(n), 1 << n, rng.getrandbits(n + 8) | 1 << n, -1)
-        for row in rows:
-            o = same(row_written, reference_encode_certificate, replace(cert, neighbors_part=row), n)
-            tally[outcome_class(o)] += 1
+        for owners in bundles:
+            for row in rows:
+                adj[n + 1] = row
+                tally[outcome_class(same(written, reference_written, block, adj, owners, n))] += 1
+        fitting = [row for row in rows if not row >> n]
+        many, holders = adj[: n + 1], []
+        for owners in bundles:
+            holders.append((owners, tuple(range(len(many), len(many) + len(fitting)))))
+            many += fitting
+        got = encode_certificates(block, many, holders, n)
+        assert list(got) == [h for _, ids in holders for h in ids]
+        for owners, ids in holders:
+            for h in ids:
+                pieces = tuple(NeighborhoodRow(o, many[o]) for o in owners)
+                assert got[h] == reference_encode_certificate(EncodedCertificate(many[h], block, pieces), n)
     require_floors(
         tally,
         {

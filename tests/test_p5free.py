@@ -98,7 +98,10 @@ def test_pieces_for_round_robin_arithmetic():
     assert not bag_is_small(root_bag, g.n)  # 5 > ceil(sqrt(14)) = 4
     owners_union = set()
     members = root_bag.sorted_members()
-    for member, rows in zip(members, _round_robin(g, members, tp.subtree_masks()[0])):
+    certs = pc.prove(g)
+    for member, dealt in zip(members, _round_robin(members, tp.subtree_masks()[0])):
+        rows = decode_certificate(certs[member], g.n).pieces_part
+        assert tuple(e.owner for e in rows) == dealt
         assert rows[0].owner == member  # own row first
         assert len(rows) <= -(-14 // 5) + 1
         owners = [e.owner for e in rows]
@@ -131,8 +134,8 @@ def test_pieces_coverage_random_big_cliques():
         if bag_is_small(bag, n):
             continue
         covered = set()
-        for rows in _round_robin(g, bag.sorted_members(), tp.subtree_masks()[0]):
-            covered.update(e.owner for e in rows)
+        for owners in _round_robin(bag.sorted_members(), tp.subtree_masks()[0]):
+            covered.update(owners)
         assert covered == set(range(1, n + 1))
 
 
@@ -1080,7 +1083,10 @@ def two_cliques_two_blocks(a, n, s1_high, rng):
     )
     bits_chain, bits_star = pc.encode_partitioning(chain, n), pc.encode_partitioning(star, n)
     s1_rows = tuple(NeighborhoodRow(v, g.adj[v]) for v in s1)
-    s2_rows = dict(zip(s2, p5free._round_robin(g, tuple(s2), g.full_mask)))
+    s2_rows = {
+        v: tuple(NeighborhoodRow(o, g.adj[o]) for o in owners)
+        for v, owners in zip(s2, p5free._round_robin(tuple(s2), g.full_mask))
+    }
     certs = {}
     for v in g.vertices():
         cert = EncodedCertificate(g.adj[v], bits_chain, s1_rows) if v in s1 else (
