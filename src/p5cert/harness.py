@@ -15,6 +15,7 @@ from .codec import (
     EncodedCertificate,
     decode_certificate,
     encode_certificate,
+    encode_certificates,
     encode_partitioning,
     write_certificates,
 )
@@ -302,14 +303,21 @@ def has_rejection(g: Graph, scheme: Scheme, certs: CertificateAssignment) -> boo
     return any(not scheme.verifier(local_view(g, certs, v)).accept for v in g.vertices())
 
 
-def rejecting_mask(g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]], within: int) -> int:
+def rejecting_mask(
+    g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]], within: int, limit: Optional[int] = None
+) -> int:
     """Mask of the vertices in ``within`` where the P5 verifier rejects;
     ``dec_of`` maps each vertex to its decoded certificate, None where it
-    does not decode."""
+    does not decode.  With a ``limit``, it stops at the ``limit + 1``-th
+    rejecting vertex, so a mask of more than ``limit`` vertices is partial."""
     mask = 0
+    left = within.bit_count() if limit is None else limit
     for v in iter_bits(within):
         if not verdict_at(g.n, v, g.adj[v], dec_of).accept:
             mask |= 1 << (v - 1)
+            left -= 1
+            if left < 0:
+                break
     return mask
 
 
@@ -321,10 +329,13 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     distinct modified graph (its certificates or its ``P5CertError``, so a
     repeated failure goes straight to the rng-driven repair, as
     ``honest_best_effort`` would); the base's decode table, which
-    lying-partition, lying-pieces and greedy-search trials copy and edit, so
-    a trial encodes only the certificates it changes; for greedy-search, the
+    lying-pieces and greedy-search trials copy and edit, so a trial encodes
+    only the certificates it changes; for lying-partition, the base's rows
+    and its holders grouped by pieces owners, so a trial writes every
+    certificate in one ``encode_certificates`` call; for greedy-search, the
     base's rejection mask, so a trial verifies only the closed neighborhood
-    of each flipped vertex and decodes only the flipped certificate.
+    of each flipped vertex, and only until a flip has lost, and decodes only
+    the flipped certificate.
 
     A wrong-graph stream needs a vertex pair to toggle: on a 1-vertex graph
     it raises ``ValueError`` before its first trial.
@@ -340,6 +351,12 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     proofs: dict[tuple[int, ...], CertificateAssignment | P5CertError] = {}
     if kind in ("lying-partition", "lying-pieces", "greedy-search"):
         base_dec = {v: decode_certificate(base[v], n) for v in g.vertices()}
+    if kind == "lying-partition":  # the base's rows, and its holders by pieces owners
+        rows = [0] + [base_dec[v].neighbors_part for v in g.vertices()]
+        holders: dict[tuple[int, ...], list[int]] = {}
+        for v, d in base_dec.items():
+            holders.setdefault(tuple(e.owner for e in d.pieces_part), []).append(v)
+        bundles = list(holders.items())
     if kind == "greedy-search":
         base_rej = rejecting_mask(g, base_dec, g.full_mask)
 
@@ -375,7 +392,9 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
             yield prove(repair_to_p5_free(modified, rng)) if isinstance(proved, P5CertError) else dict(proved)
         elif kind == "lying-partition":
             false_bits = encode_partitioning(_random_false_partition(n, rng), n)
-            yield {v: encode_certificate(replace(d, partitioning_part=false_bits), n) for v, d in base_dec.items()}
+            # the base is honest for some graph: every pieces row is its owner's row
+            certs = encode_certificates(false_bits, rows, bundles, n)
+            yield {v: certs[v] for v in g.vertices()}
         elif kind == "lying-pieces":
             dec = dict(base_dec)
             for _ in range(rng.randint(1, 3)):
@@ -402,12 +421,13 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                 old = cur[v], dec[v]
                 cur[v] = cur[v].flip(rng.randrange(cur[v].length))
                 dec[v] = _decode(cur[v], n)
-                # only the views of v and its neighbors change
+                # only the views of v and its neighbors change; the first flip
+                # is always kept, a later one while N[v] rejects no more than before
                 closed = g.adj[v] | 1 << (v - 1)
-                cand_rej = cur_rej & ~closed | rejecting_mask(g, dec, closed)
-                # the first flip is always kept
-                if not step or cand_rej.bit_count() <= cur_rej.bit_count():
-                    cur_rej = cand_rej
+                before = (cur_rej & closed).bit_count()
+                rej = rejecting_mask(g, dec, closed, before if step else None)
+                if not step or rej.bit_count() <= before:
+                    cur_rej = cur_rej & ~closed | rej
                 else:
                     cur[v], dec[v] = old
             yield cur

@@ -21,6 +21,7 @@ from .bits import Bits
 from .codec import (
     EncodedCertificate,
     decode_certificate,
+    decode_certificates,
     decode_partitioning,
     encode_certificate,  # not called here; perfbench/probes.py TRACE_POINTS wraps this name
     encode_certificates,
@@ -560,7 +561,8 @@ def _settled(
 
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     """``{v: verify(local_view(g, certs, v))}`` for every vertex, from one
-    uncached decode table; a view folding only true statements runs no closure.
+    decode table (``codec.decode_certificates``, past ``_decode``'s cache);
+    a view folding only true statements runs no closure.
 
     T(B) is the set of vertices whose certificate decodes, claims its
     vertex's actual row, carries only its owners' actual pieces rows, and
@@ -593,14 +595,13 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     rejection keeps its step and witness.
     """
     n, adj = g.n, g.adj
-    dec = {v: _decode.__wrapped__(certs[v], n) for v in g.vertices()}
+    dec = decode_certificates(certs, n)
     trusted: dict[Bits, list[int]] = {}  # B -> [T(B) as a vertex mask]
     b = None
     for v, d in dec.items():
         if d is not None:
-            p = d.partitioning_part
-            if b is None or p.value != b.value or p.length != b.length:  # blocks mostly repeat
-                b = p
+            if d.partitioning_part is not b:  # a run of equal blocks decodes to one object
+                b = d.partitioning_part
                 t = trusted.setdefault(b, [0])
             rows_true = d.neighbors_part == adj[v]
             for e in d.pieces_part:

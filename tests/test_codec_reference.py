@@ -17,9 +17,17 @@ import pytest
 import p5cert as pc
 from p5cert import p5free
 from p5cert.bits import Bits
-from p5cert.codec import EncodedCertificate, NeighborhoodRow, encode_certificates, idwidth, plen_width
+from p5cert.codec import (
+    EncodedCertificate,
+    NeighborhoodRow,
+    decode_certificates,
+    encode_certificates,
+    idwidth,
+    plen_width,
+)
 from p5cert.errors import P5CertError
 from p5cert.harness import GeneratorSpec, _random_false_partition, generate, p5free_corpus
+from p5cert.p5free import bag_is_small
 from p5cert.treepart import CLIQUE, Bag, RootedTree, TreePartition
 from helpers import (
     nested_to_tree,
@@ -86,18 +94,50 @@ def honest_sets():
     specs += [GeneratorSpec(fam, n, 0.5, 1) for n in (128, 1024) for fam in ("split", "cograph")]
     for spec in specs:
         g = generate(spec)
-        yield g.n, pc.prove(g)
+        yield g, pc.prove(g)
 
 
 def test_honest_certificates_match_reference():
     certs_seen, blocks = collections.Counter(), collections.Counter()
-    for n, certs in honest_sets():
+    for g, certs in honest_sets():
+        n = g.n
         for b in certs.values():
             check_certificate(b, n, certs_seen)
         for block in {pc.decode_certificate(b, n).partitioning_part for b in certs.values()}:
             check_block(block, n, blocks)
     require_floors(certs_seen, {"decodes": 3000})
     require_floors(blocks, {"decodes": 30})
+
+
+def check_batch(certs: dict[int, Bits], n: int, tally) -> dict:
+    """``decode_certificates`` against ``decode_certificate``, one
+    certificate at a time: the same value, or None where it raises
+    ``MalformedCertificate``."""
+    got = decode_certificates(certs, n)
+    assert list(got) == list(certs)
+    for v, b in certs.items():
+        kind, want = outcome(pc.decode_certificate, b, n)
+        tally[outcome_class((kind, want))] += 1
+        assert kind in ("value", "MalformedCertificate"), (b, n, want)
+        assert got[v] == (want if kind == "value" else None), (b, n, want)
+    return got
+
+
+def test_decode_certificates_on_honest_proofs():
+    # a field that repeats across a proof comes out as one object: the block
+    # of every vertex, and the pieces of every member of a small bag
+    tally = collections.Counter()
+    for g, certs in honest_sets():
+        n = g.n
+        got = check_batch(certs, n, tally)
+        assert len({id(d.partitioning_part) for d in got.values()}) == 1
+        bags = pc.build_tree_partition(g).bags
+        small = [bag for bag in bags if bag_is_small(bag, n)]
+        for bag in small:
+            assert len({id(got[m].pieces_part) for m in bag.members}) == 1
+        big_members = sum(len(bag.members) for bag in bags if not bag_is_small(bag, n))
+        assert len({id(d.pieces_part) for d in got.values()}) == len(small) + big_members
+    require_floors(tally, {"decodes": 3000})
 
 
 def sample_certificates():
@@ -268,6 +308,39 @@ def test_random_bits_match_reference():
             "trailing bits": 50,
             "pieces owner # out of range": 50,
             "pieces row of # claims a self loop": 55,
+        },
+    )
+
+
+def test_decode_certificates_on_edits_and_random_bits():
+    # one-bit edits between honest certificates break the runs of equal
+    # blocks and tails, and so does the block with one leading zero more:
+    # the same value, another length; random certificates, some repeated,
+    # reach every error
+    rng = random.Random(2003)
+    tally = collections.Counter()
+    for spec in p5free_corpus():
+        if spec.n <= 16:
+            certs = pc.prove(generate(spec))
+            batch = []
+            for b in certs.values():
+                batch.append(b)
+                batch += rng.sample(list(one_bit_edits(b)), 6)
+                d = pc.decode_certificate(b, spec.n)
+                longer = Bits(d.partitioning_part.value, d.partitioning_part.length + 1)
+                batch.append(pc.encode_certificate(EncodedCertificate(d.neighbors_part, longer, d.pieces_part), spec.n))
+            check_batch(dict(enumerate(batch, 1)), spec.n, tally)
+    for n in range(1, 41):
+        batch = [random_certificate(n, rng) for _ in range(20)]
+        check_batch(dict(enumerate(batch + rng.choices(batch, k=10), 1)), n, tally)
+    require_floors(
+        tally,
+        {
+            "decodes": 900,
+            "short read": 500,
+            "trailing bits": 80,
+            "pieces owner # out of range": 100,
+            "pieces row of # claims a self loop": 100,
         },
     )
 

@@ -5,7 +5,7 @@ import pytest
 
 import p5cert as pc
 from p5cert.errors import GenerationBudgetExceeded, PreconditionNotP5, TooLarge
-from p5cert.codec import write_certificates
+from p5cert.codec import decode_certificates, write_certificates
 from p5cert.framework import format_run_report, local_view
 from p5cert.harness import (
     FAMILIES,
@@ -221,6 +221,10 @@ def test_rejecting_mask_and_has_rejection(p5_graph):
     assert rejecting_mask(p5_graph, dec, p5_graph.full_mask) == 0b11111
     assert rejecting_mask(p5_graph, dec, 0b10010) == 0b10010
     assert rejecting_mask(p5_graph, dec, 0) == 0
+    # a limit stops the scan at the first vertex past it
+    assert rejecting_mask(p5_graph, dec, p5_graph.full_mask, limit=1) == 0b11
+    assert rejecting_mask(p5_graph, dec, 0b11100, limit=0) == 0b100
+    assert rejecting_mask(p5_graph, dec, 0b11100, limit=3) == 0b11100
     assert has_rejection(p5_graph, SCHEME, certs)
     g = pc.generate(pc.GeneratorSpec("split", 10, 0.5, 2))
     certs = pc.prove(g)
@@ -261,6 +265,21 @@ def _golden_fuzz_graphs():
     """Every 25th connected 6-vertex graph with an induced P5, plus two n=24 ones."""
     graphs = [g for g in pc.enumerate_connected_graphs(6) if not pc.oracle_is_p5_free(g)][::25]
     return graphs + [pc.generate(pc.GeneratorSpec("with-p5", 24, 0.3, seed)) for seed in (1, 2)]
+
+
+def test_decode_certificates_on_every_trial():
+    # bitflips make malformed certificates: the batch decoder gives None
+    # exactly where decode_certificate raises, and equal values elsewhere
+    undecodable = decoded = 0
+    for i, g in enumerate(_golden_fuzz_graphs()):
+        for kind in STRATEGIES:
+            for certs in pc.adversarial_certificates(g, pc.AdversaryStrategy(kind, 4, i)):
+                dec = decode_certificates(certs, g.n)
+                assert list(dec) == list(certs)
+                assert dec == {v: _decode.__wrapped__(b, g.n) for v, b in certs.items()}
+                undecodable += sum(d is None for d in dec.values())
+                decoded += sum(d is not None for d in dec.values())
+    assert undecodable >= 1500 and decoded >= 30000, (undecodable, decoded)
 
 
 def test_golden_digest_adversarial_verdicts():
