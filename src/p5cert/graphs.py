@@ -322,7 +322,7 @@ def parse_graph(text: str) -> Graph:
     count = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
-        if not parts or parts[0][0] == "c":
+        if not parts or parts[0] == "c":
             continue
         if parts[0] == "p":
             if n is not None:

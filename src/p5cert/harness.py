@@ -303,21 +303,14 @@ def has_rejection(g: Graph, scheme: Scheme, certs: CertificateAssignment) -> boo
     return any(not scheme.verifier(local_view(g, certs, v)).accept for v in g.vertices())
 
 
-def rejecting_mask(
-    g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]], within: int, limit: Optional[int] = None
-) -> int:
+def rejecting_mask(g: Graph, dec_of: Mapping[int, Optional[EncodedCertificate]], within: int) -> int:
     """Mask of the vertices in ``within`` where the P5 verifier rejects;
     ``dec_of`` maps each vertex to its decoded certificate, None where it
-    does not decode.  With a ``limit``, it stops at the ``limit + 1``-th
-    rejecting vertex, so a mask of more than ``limit`` vertices is partial."""
+    does not decode."""
     mask = 0
-    left = within.bit_count() if limit is None else limit
     for v in iter_bits(within):
         if not verdict_at(g.n, v, g.adj[v], dec_of).accept:
             mask |= 1 << (v - 1)
-            left -= 1
-            if left < 0:
-                break
     return mask
 
 
@@ -334,8 +327,7 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
     and its holders grouped by pieces owners, so a trial writes every
     certificate in one ``encode_certificates`` call; for greedy-search, the
     base's rejection mask, so a trial verifies only the closed neighborhood
-    of each flipped vertex, and only until a flip has lost, and decodes only
-    the flipped certificate.
+    of each flipped vertex and decodes only the flipped certificate.
 
     A wrong-graph stream needs a vertex pair to toggle: on a 1-vertex graph
     it raises ``ValueError`` before its first trial.
@@ -424,9 +416,8 @@ def adversarial_certificates(g: Graph, strategy: AdversaryStrategy) -> Iterator[
                 # only the views of v and its neighbors change; the first flip
                 # is always kept, a later one while N[v] rejects no more than before
                 closed = g.adj[v] | 1 << (v - 1)
-                before = (cur_rej & closed).bit_count()
-                rej = rejecting_mask(g, dec, closed, before if step else None)
-                if not step or rej.bit_count() <= before:
+                rej = rejecting_mask(g, dec, closed)
+                if not step or rej.bit_count() <= (cur_rej & closed).bit_count():
                     cur_rej = cur_rej & ~closed | rej
                 else:
                     cur[v], dec[v] = old

@@ -562,16 +562,15 @@ def _settled(
 def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     """``{v: verify(local_view(g, certs, v))}`` for every vertex, from one
     decode table (``codec.decode_certificates``, past ``_decode``'s cache);
-    a view folding only true statements runs no closure.
+    a vertex the node tests settle runs no closure.
 
     T(B) is the set of vertices whose certificate decodes, claims its
     vertex's actual row, carries only its owners' actual pieces rows, and
     holds block B.  B counts when it decodes and every pair it implies is
     true of ``g``.  A vertex whose closed neighborhood lies in T(B), for a
     B that counts, is ready: it gets accept when the node tests of B settle
-    it, else its steps (iii)-(iv) verdict or accept, unless ``is_p5_free``,
-    run once if some vertex is ready, finds a 5-path in ``g``.  Every other
-    vertex gets ``verdict_at``.
+    it, unless ``is_p5_free``, run once if some vertex is settled, finds a
+    5-path in ``g``.  Every other vertex gets ``verdict_at``.
 
     Why this is exact, per view: steps (i)-(ii) pass at a ready vertex, and
     every statement its step (v) folds is true of ``g``: its own and its
@@ -579,6 +578,9 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     implies.  True statements never disagree, so its closure cannot raise,
     and its map lies inside the map of ``g``.  A fully known induced 5-path
     in its map would be one of ``g``, which the search on ``g`` rules out.
+    So a ready vertex accepts exactly when its steps (iii)-(iv) pass; one
+    the node tests leave gets its verdict, step and witness from
+    ``verdict_at``.
 
     Why the node tests are exact (``_settled``): at a ready vertex v the bag
     test and the branch test of step (iii) pass, as B counts.  v passes the
@@ -591,8 +593,7 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
     every member holds one pieces tuple owned by exactly the sorted members,
     v's owners match, its own entry is its actual row, and every bag
     neighbor's tuple equals v's.  A block settles only its own ready
-    vertices; every other ready vertex runs ``_steps_iii_iv``, so every
-    rejection keeps its step and witness.
+    vertices.
     """
     n, adj = g.n, g.adj
     dec = decode_certificates(certs, n)
@@ -608,7 +609,6 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
                 rows_true &= e.row == adj[e.owner]
             t[0] |= rows_true << (v - 1)
     settled = 0  # ready vertices that pass steps (iii)-(iv) by the node tests
-    true_view: dict[int, PartitionIndex] = {}  # every other ready vertex -> the index of its block
     for b, (t,) in trusted.items():
         ready = 0
         for v in iter_bits(t):
@@ -618,15 +618,10 @@ def verify_all(g: Graph, certs: CertificateAssignment) -> dict[int, Verdict]:
         if pidx is not None and not any(
             ie & ~a or (ine | cn) & a for ie, ine, cn, a in zip(pidx.intra_edge, pidx.intra_nonedge, pidx.cross_nonedge, adj)
         ):
-            ok = _settled(n, adj, dec, ready, t, pidx)
-            settled |= ok
-            true_view.update(dict.fromkeys(iter_bits(ready & ~ok), pidx))
-    if (settled or true_view) and not is_p5_free(g):
-        settled, true_view = 0, {}
-    return {v: ACCEPT if settled >> (v - 1) & 1
-            else _steps_iii_iv(n, v, adj[v], dec, true_view[v]) or ACCEPT if v in true_view
-            else verdict_at(n, v, adj[v], dec)
-            for v in g.vertices()}
+            settled |= _settled(n, adj, dec, ready, t, pidx)
+    if settled and not is_p5_free(g):
+        settled = 0
+    return {v: ACCEPT if settled >> (v - 1) & 1 else verdict_at(n, v, adj[v], dec) for v in g.vertices()}
 
 
 def scheme() -> Scheme:

@@ -294,6 +294,7 @@ _STRICT_ERRORS = {
     "p 3 2\ne 1 2\ne 1 2\n": "line 3: duplicate edge (1,2)",  # duplicate
     "e 1 2\np 3 1\n": "line 1: e line before p line",  # e before p
     "p 3 1\nq 1 2\n": "line 2: unknown record 'q'",  # unknown record
+    "p 3 1\ncx\ne 1 2\n": "line 2: unknown record 'cx'",  # only the token c starts a comment
     "": "missing p line",  # missing p
     # every number is ASCII -?[0-9]+; int() alone takes a sign, "_" and non-ASCII digits
     "p 3 2\ne 1 2\ne 2 +3\n": "line 3: non-integer e line",  # sign

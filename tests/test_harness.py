@@ -221,10 +221,6 @@ def test_rejecting_mask_and_has_rejection(p5_graph):
     assert rejecting_mask(p5_graph, dec, p5_graph.full_mask) == 0b11111
     assert rejecting_mask(p5_graph, dec, 0b10010) == 0b10010
     assert rejecting_mask(p5_graph, dec, 0) == 0
-    # a limit stops the scan at the first vertex past it
-    assert rejecting_mask(p5_graph, dec, p5_graph.full_mask, limit=1) == 0b11
-    assert rejecting_mask(p5_graph, dec, 0b11100, limit=0) == 0b100
-    assert rejecting_mask(p5_graph, dec, 0b11100, limit=3) == 0b11100
     assert has_rejection(p5_graph, SCHEME, certs)
     g = pc.generate(pc.GeneratorSpec("split", 10, 0.5, 2))
     certs = pc.prove(g)

@@ -38,6 +38,7 @@ from p5cert.p5free import (
 from p5cert.treepart import CLIQUE, P3, Bag, RootedTree, TreePartition, build_tree_partition
 import helpers
 from helpers import (
+    isomorph_free_graphs,
     naive_transpose,
     pendant_clique,
     random_graph,
@@ -942,12 +943,13 @@ def test_small_and_big_threshold_agreement():
 
 def verify_all_traced(g, certs):
     """verify_all's verdicts; the route each vertex took: the vertices it
-    sent to ``verdict_at``, the vertices it sent to ``_steps_iii_iv``, and
-    the vertices the node tests settled; and what its search on ``g``
-    found: None when it did not search, else whether it found a 5-path."""
-    sent, stepped, found = set(), set(), []
-    settled_mask = 0
-    search, per_vertex, steps, node_tests = p5free.is_p5_free, p5free.verdict_at, p5free._steps_iii_iv, p5free._settled
+    sent to ``verdict_at`` and the vertices the node tests settled; the
+    ready vertices the node tests left, which go to ``verdict_at`` too; and
+    what its search on ``g`` found: None when it did not search, else
+    whether it found a 5-path."""
+    sent, found = set(), []
+    ready_mask = settled_mask = 0
+    search, per_vertex, node_tests = p5free.is_p5_free, p5free.verdict_at, p5free._settled
 
     def search_probe(g):
         free = search(g)
@@ -958,29 +960,25 @@ def verify_all_traced(g, certs):
         sent.add(u)
         return per_vertex(n, u, *args)
 
-    def steps_probe(n, u, *args):
-        if u not in sent:  # verdict_at at u calls it too
-            stepped.add(u)
-        return steps(n, u, *args)
-
-    def settled_probe(*args):
-        nonlocal settled_mask
-        ok = node_tests(*args)
+    def settled_probe(n, adj, dec, ready, *args):
+        nonlocal ready_mask, settled_mask
+        ok = node_tests(n, adj, dec, ready, *args)
+        ready_mask |= ready
         settled_mask |= ok
         return ok
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(p5free, "is_p5_free", search_probe)
         mp.setattr(p5free, "verdict_at", verdict_probe)
-        mp.setattr(p5free, "_steps_iii_iv", steps_probe)
         mp.setattr(p5free, "_settled", settled_probe)
         verdicts = p5free.verify_all(g, certs)
-    assert len(found) <= 1, "the search on g runs at most once"
+    assert len(found) == bool(settled_mask), "the search on g runs once, and only if a vertex is settled"
     settled = set() if found == [True] else set(iter_bits(settled_mask))  # a 5-path in g voids the node tests
-    assert not (sent & stepped or settled & (sent | stepped)), "one route per vertex"
-    assert sent | stepped | settled == set(g.vertices())
+    left = set(iter_bits(ready_mask & ~settled_mask))
+    assert not sent & settled and sent | settled == set(g.vertices()), "one route per vertex"
+    assert left <= sent
     assert all(verdicts[v].accept for v in settled)
-    return verdicts, sent, stepped, settled, found[0] if found else None
+    return verdicts, sent, left, settled, found[0] if found else None
 
 
 def reference_outcome(g, certs):
@@ -1168,17 +1166,17 @@ def test_verify_all_one_lie_split_256():
     certs = pc.prove(g)
     non = g.full_mask & ~g.adj[5] & ~(1 << 4)
     certs[5] = encode_certificate(replace(decode_certificate(certs[5], g.n), neighbors_part=g.adj[5] | non & -non), g.n)
-    got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
+    got, sent, _, settled, p5_in_g = verify_all_traced(g, certs)
     assert got == {v: verify(local_view(g, certs, v)) for v in g.vertices()}
     assert got[5].step == "i" and sum(not d.accept for d in got.values()) > 1
     # verdict_at runs only at the views that hold vertex 5's certificate,
     # and the node tests settle every other vertex
     assert sent == closed_neighborhood(g, 5) and p5_in_g is False
-    assert not stepped and settled == set(g.vertices()) - sent
+    assert settled == set(g.vertices()) - sent
 
 
 def _fallback_reason(d):
-    """Why the node tests left a vertex with verdict ``d`` to ``_steps_iii_iv``."""
+    """Why the node tests left a ready vertex with verdict ``d`` to ``verdict_at``."""
     if d.accept:
         return "accept"
     for why, prefix in (
@@ -1265,14 +1263,14 @@ def test_verify_all_matches_verify():
     rejected = collections.Counter()  # lies of these families that some view rejects
     mixed = collections.Counter()  # one-lie cases where some views skip verdict_at and some do not
     routes = collections.Counter()  # vertices settled by node tests, and next to a second block
-    fallback = collections.Counter()  # (source, why) of the vertices sent to _steps_iii_iv
+    fallback = collections.Counter()  # (source, why) of the ready vertices the node tests left
     union_raised = 0
     for i, (source, g, certs) in enumerate(cases):
         want = {v: verify(local_view(g, certs, v)) for v in g.vertices()}
-        got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
+        got, sent, left, settled, p5_in_g = verify_all_traced(g, certs)
         assert got == want, source
         routes["settled"] += len(settled)
-        for v in stepped:
+        for v in left:
             fallback[source, _fallback_reason(got[v])] += 1
         # a vertex whose closed neighborhood holds two blocks, or a
         # certificate that does not decode, is no block's to settle
@@ -1301,8 +1299,8 @@ def test_verify_all_matches_verify():
     assert union_raised >= 20, union_raised
     assert min(rejected[s] for s in ("two blocks",) + LOCAL_LIES) >= 20, rejected
     assert min(mixed[s] for s in ONE_LIES) >= 20, mixed
-    # the node tests settle most honest vertices, and leave to _steps_iii_iv
-    # each kind of vertex they cannot vouch for
+    # the node tests settle most honest vertices, and leave to verdict_at
+    # each kind of ready vertex they cannot vouch for
     assert routes["settled"] >= 11_000, routes
     for why, source, floor in (
         ("ancestor", "moved subtree", 60),
@@ -1321,13 +1319,36 @@ def test_verify_all_settles_split_1024():
     # agrees at a seeded sample (all 1024 views take two minutes)
     g = pc.generate(GeneratorSpec("split", 1024, 0.5, 1))
     certs = pc.prove(g)
-    got, sent, stepped, settled, p5_in_g = verify_all_traced(g, certs)
+    got, _, _, settled, p5_in_g = verify_all_traced(g, certs)
     assert settled == set(g.vertices()) and p5_in_g is False
     dec = {v: p5free._decode.__wrapped__(b, g.n) for v, b in certs.items()}
     pidx = _partition_index(dec[1].partitioning_part, g.n)
     assert all(_steps_iii_iv(g.n, v, g.adj[v], dec, pidx) is None for v in g.vertices())
     for v in random.Random(27).sample(range(1, g.n + 1), 12):
         assert p5free.verdict_at(g.n, v, g.adj[v], dec) == got[v]
+
+
+def test_verify_all_p3_bag_lies():
+    # a P3 member claims its lowest non-neighbor, so it leaves T(B) and its
+    # bag's node tests settle no member; a ready member outside its closed
+    # neighborhood then accepts through verdict_at
+    graphs = [g for n in (6, 7) for g in isomorph_free_graphs(n) if pc.is_connected(g) and pc.oracle_is_p5_free(g)]
+    with_p3 = [(g, tp) for g in graphs for tp in [build_tree_partition(g)] if any(b.kind == P3 for b in tp.bags)]
+    assert collections.Counter(g.n for g, _ in with_p3) == {6: 3, 7: 20}
+    lies = left_accepting = 0
+    for g, tp in with_p3:
+        certs = pc.prove(g)
+        for u in (u for bag in tp.bags if bag.kind == P3 for u in bag.sorted_members()):
+            non = g.full_mask & ~g.adj[u] & ~(1 << (u - 1))
+            if not non:
+                continue
+            d = decode_certificate(certs[u], g.n)
+            forged = {**certs, u: encode_certificate(replace(d, neighbors_part=g.adj[u] | non & -non), g.n)}
+            got, _, left, _, _ = verify_all_traced(g, forged)
+            assert got == {v: verify(local_view(g, forged, v)) for v in g.vertices()}
+            lies += 1
+            left_accepting += sum(got[v].accept for v in left)
+    assert lies >= 60 and left_accepting >= 40, (lies, left_accepting)
 
 
 # --- the whole verdict against the spec verifier ------------------------------
